@@ -1,6 +1,7 @@
 """Command-line interface: success evaluation, curve sweeps, allocation, circuit checks.
 
-Exit codes: 0 success, 2 configuration validation error, 3 fully infeasible
+Exit codes: 0 success, 2 validation error (a configuration, an allocation
+problem, or a sweep's grid or target outside [0, 1]), 3 fully infeasible
 sweep, 4 infeasible allocation, 5 circuit verification failure.  All output
 is deterministic for fixed flags: fixed float formatting, fixed ordering,
 seeded sampling.
@@ -71,12 +72,14 @@ def _sweep_scenario(args) -> planner.Scenario:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _sweep_scenario(args)
     try:
-        curve = planner.sweep_curve(scenario, args.grid, args.target)
+        curve = planner.sweep_curve(_sweep_scenario(args), args.grid, args.target)
     except planner.EmptyCurve:
         print("sweep: every grid point infeasible", file=sys.stderr)
         return EXIT_EMPTY_SWEEP
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             curve.to_csv(fh)
@@ -92,19 +95,22 @@ def cmd_sweep(args) -> int:
 def cmd_allocate(args) -> int:
     with open(args.problem, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    problem = planner.AllocationProblem(
-        channels=tuple(
-            planner.ChannelSpec(str(c["id"]), float(c["p"]), int(c["capacity"]))
-            for c in doc["channels"]
-        ),
-        codes=tuple(QrsCode(int(c["d"]), int(c["k"])) for c in doc["codes"]),
-        q=int(doc.get("q", 1)),
-    )
     try:
+        problem = planner.AllocationProblem(
+            channels=tuple(
+                planner.ChannelSpec(str(c["id"]), float(c["p"]), int(c["capacity"]))
+                for c in doc["channels"]
+            ),
+            codes=tuple(QrsCode(int(c["d"]), int(c["k"])) for c in doc["codes"]),
+            q=int(doc.get("q", 1)),
+        )
         result = planner.allocate(problem, args.target)
     except planner.Infeasible:
         print("allocate: no feasible allocation", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        print(f"allocate: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     out = result.summary(problem)
     out["single_channel_solutions"] = [
         {"d": code.d, "k": code.k, "channel": channel}

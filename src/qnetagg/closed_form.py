@@ -3,17 +3,22 @@
 These are the closed-form evaluators: binomial tails for uniform single- and
 two-channel layouts, plus the two fixed shared-photon polynomials for the
 6-photon/7-qudit and 15-photon/11-qudit layouts.  Binomial coefficients are
-exact integers (``math.comb``); each term is converted to floating point on
-accumulation, summed left to right.  Passing :class:`fractions.Fraction`
-probabilities keeps the arithmetic exact, which the tests use to bound the
-double-precision roundoff.
+exact integers (``math.comb``).  A float binomial term is computed from the
+logarithm of its exact coefficient, so none overflows at any d; terms are
+summed left to right.  Passing :class:`fractions.Fraction` probabilities
+keeps the arithmetic exact, which the tests use to bound the
+double-precision roundoff.  The module is independent of :mod:`engine`, so
+the two check each other.
 
-Every return value is checked to lie in [0, 1] within 1e-12 and clamped.
+``ps6`` and ``ps15`` also take numpy arrays of probabilities and check
+them elementwise.  Every return value is checked to lie in [0, 1] within
+1e-12 and clamped.
 """
 
 from __future__ import annotations
 
-from math import comb
+from fractions import Fraction
+from math import comb, exp, log
 
 from .model import QrsCode, photons_per_qudit
 
@@ -29,17 +34,26 @@ class ToleranceMismatch(ValueError):
 _RANGE_TOL = 1e-12
 
 
+def _between(value, lo, hi) -> bool:
+    """lo <= value <= hi for a number, or for every entry of a numpy array."""
+    if isinstance(value, (float, int, Fraction)):
+        return lo <= value <= hi
+    return bool(((lo <= value) & (value <= hi)).all())
+
+
 def _checked(value):
     """Assert value is a probability up to roundoff; clamp floats into [0, 1]."""
-    if not (-_RANGE_TOL <= value <= 1 + _RANGE_TOL):
+    if not _between(value, -_RANGE_TOL, 1 + _RANGE_TOL):
         raise ArithmeticError(f"probability {value!r} outside [0, 1] beyond roundoff")
     if isinstance(value, float):
         return min(max(value, 0.0), 1.0)
+    if hasattr(value, "clip"):
+        return value.clip(0.0, 1.0)
     return value
 
 
 def _check_p(p) -> None:
-    if not (0 <= p <= 1):
+    if not _between(p, 0, 1):
         raise ValueError(f"probability {p} outside [0, 1]")
 
 
@@ -48,16 +62,41 @@ def qudit_survival(code: QrsCode, q: int, p):
     return p ** photons_per_qudit(code, q)
 
 
+def _binomial_terms(n: int, P, upto: int) -> list:
+    """C(n, j) P^(n-j) (1-P)^j for j = 0..min(upto, n).
+
+    Fractions and ints stay exact.  A float term is exp(log C(n, j) +
+    (n-j) log P + j log(1-P)): ``math.log`` takes the exact integer C(n, j),
+    so no factor overflows at any n; a factor 0^0 counts as 1.
+    """
+    W = 1 - P
+    if not isinstance(P, float):
+        return [comb(n, j) * P ** (n - j) * W**j for j in range(min(upto, n) + 1)]
+    terms = []
+    c = 1
+    for j in range(min(upto, n) + 1):
+        if j:
+            c = c * (n - j + 1) // j
+        if (P == 0 and j < n) or (W == 0 and j > 0):
+            terms.append(0.0)
+            continue
+        exponent = log(c)
+        if j < n:
+            exponent += (n - j) * log(P)
+        if j:
+            exponent += j * log(W)
+        terms.append(exp(exponent))
+    return terms
+
+
 def ps_single(code: QrsCode, q: int, p):
     """Success probability with all d qudits in one channel.
 
     sum_{j=0}^{d-k} C(d, j) P^(d-j) (1-P)^j  with  P = p^ceil(log2(d)/q).
     """
     _check_p(p)
-    d = code.d
     P = qudit_survival(code, q, p)
-    total = sum(comb(d, j) * P ** (d - j) * (1 - P) ** j for j in range(code.tolerance() + 1))
-    return _checked(total)
+    return _checked(sum(_binomial_terms(code.d, P, code.tolerance())))
 
 
 def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
@@ -73,11 +112,9 @@ def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
         raise WithheldExceedsTolerance(
             f"withheld={withheld} exceeds tolerance {code.tolerance()}"
         )
-    sent = code.d - withheld
-    budget = code.tolerance() - withheld
     P = qudit_survival(code, q, p)
-    total = sum(comb(sent, j) * P ** (sent - j) * (1 - P) ** j for j in range(budget + 1))
-    return _checked(total)
+    terms = _binomial_terms(code.d - withheld, P, code.tolerance() - withheld)
+    return _checked(sum(terms))
 
 
 def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
@@ -97,16 +134,12 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
     d = code.d
     if not (0 <= n <= d):
         raise ValueError(f"n={n} outside 0..{d}")
-    P_a = qudit_survival(code, q, p_a)
-    P_b = qudit_survival(code, q, p_b)
+    top = (d - 1) // 2
+    b = _binomial_terms(n, qudit_survival(code, q, p_b), top)
+    a = _binomial_terms(d - n, qudit_survival(code, q, p_a), top)
     total = sum(
-        comb(n, i - j)
-        * P_b ** (n - (i - j))
-        * (1 - P_b) ** (i - j)
-        * comb(d - n, j)
-        * P_a ** (d - n - j)
-        * (1 - P_a) ** j
-        for i in range((d - 1) // 2 + 1)
+        b[i - j] * a[j]
+        for i in range(top + 1)
         for j in range(i + 1)
         if i - j <= n and j <= d - n
     )

@@ -10,14 +10,21 @@ patterns, capped at 24 photons per cluster.
 
 Floats run through vectorised numpy paths; Fraction-valued channel
 probabilities fall back to pure-python arithmetic and stay exact.
+
+Layouts where every photon holds one qudit have a fast path,
+:func:`block_success`: qudits fail independently in blocks of equal
+survival, each block's loss count is binomial, and the binomial pmf is
+computed in log space from a cached row of log C(n, i), so it stays finite
+at any d.  Survivals may be numpy arrays, which lets the planner evaluate a
+whole grid of channel qualities in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, reduce
+from math import comb, log
 
 import numpy as np
 
@@ -255,49 +262,100 @@ def brute_force(config: MultiplexConfiguration):
 # --- fast path for block-uniform layouts --------------------------------------
 
 
-def binomial_pmf(n: int, loss_probability):
-    """pmf of the number of losses among n independent qudits."""
-    P = 1 - loss_probability
-    return [comb(n, i) * loss_probability**i * P ** (n - i) for i in range(n + 1)]
-
-
 @lru_cache(maxsize=None)
-def _comb_row(n: int) -> np.ndarray:
-    return np.array([float(comb(n, i)) for i in range(n + 1)])
+def _log_comb_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(log C(n, i), i, n - i)`` for i = 0..n.
 
-
-def _binomial_pmf_np(n: int, loss_probability: float) -> np.ndarray:
+    ``math.log`` takes the exact integer coefficients, so no entry overflows.
+    """
+    logs = [0.0] * (n + 1)
+    c = 1
+    for i in range(1, n + 1):
+        c = c * (n - i + 1) // i
+        logs[i] = log(c)
     i = np.arange(n + 1)
-    return (
-        _comb_row(n)
-        * np.power(loss_probability, i)
-        * np.power(1.0 - loss_probability, n - i)
-    )
+    row = (np.array(logs), i, n - i)
+    for a in row:
+        a.setflags(write=False)
+    return row
+
+
+def binomial_pmf(n: int, loss_probability) -> np.ndarray:
+    """pmf of the number of losses among n independent qudits.
+
+    ``loss_probability`` is a float or an array of them; the last axis of
+    the result holds 0..n losses.  Each term is exp(log C(n, i) + i log q +
+    (n - i) log(1 - q)), so none overflows at any n.  At q = 0 or 1 the one
+    factor 0 * log(0) is taken as 0, which makes the pmf exact there.
+    """
+    log_comb, i, rest = _log_comb_row(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.multiply.outer(np.log(loss_probability), i)
+        log_p = np.multiply.outer(np.log1p(-loss_probability), rest)
+    log_q[..., 0] = 0.0
+    log_p[..., n] = 0.0
+    log_q += log_p
+    log_q += log_comb
+    return np.exp(log_q, out=log_q)
+
+
+@lru_cache(maxsize=256)
+def _scalar_binomial_pmf(n: int, loss_probability: float) -> np.ndarray:
+    """Read-only :func:`binomial_pmf` for one float, kept for the allocation
+    search, which evaluates the same few (count, channel) blocks thousands
+    of times."""
+    pmf = binomial_pmf(n, loss_probability)
+    pmf.setflags(write=False)
+    return pmf
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Convolution along the last axis, broadcast over the leading axes."""
+    if a.ndim == b.ndim == 1:
+        return np.convolve(a, b)
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(lead + (a.shape[-1] + b.shape[-1] - 1,))
+    for j in range(b.shape[-1]):
+        out[..., j : j + a.shape[-1]] += a * b[..., j : j + 1]
+    return out
 
 
 def block_success(code: QrsCode, blocks, withheld: int = 0):
     """Success probability when qudits fail independently in blocks.
 
-    ``blocks`` is a sequence of ``(count, per_qudit_survival)`` pairs; the
-    loss distribution is the convolution of the per-block binomials.  This
+    ``blocks`` is a sequence of ``(count, per_qudit_survival)`` pairs.  This
     bypasses photon-level enumeration for layouts where no photon spans two
     qudits and is what the curve solvers call in their inner loop.
+
+    Survivals may be floats or numpy arrays of one shape (they broadcast);
+    the result is then a float or an array of that shape.  The tail is
+    sum_i pmf_last[i] * CDF_rest[budget - i], where ``rest`` convolves every
+    block but the last.  Fraction survivals give an exact Fraction.
     """
+    blocks = [(count, P) for count, P in blocks if count]
     budget = code.tolerance() - withheld
     if budget < 0:
-        return 0.0
-    floats = all(isinstance(P, (float, int)) for _, P in blocks)
-    if floats:
-        pmf = np.ones(1)
+        shape = np.broadcast_shapes(*(np.shape(P) for _, P in blocks))
+        return np.zeros(shape) if shape else 0.0
+    if _is_exact(P for _, P in blocks):
+        pmf = [1]
         for count, P in blocks:
-            if count == 0:
-                continue
-            pmf = np.convolve(pmf, _binomial_pmf_np(count, 1.0 - float(P)))
-        value = float(pmf[: budget + 1].sum())
-        return min(max(value, 0.0), 1.0)
-    pmf = [1]
-    for count, P in blocks:
-        if count == 0:
-            continue
-        pmf = _convolve(pmf, binomial_pmf(count, 1 - P))
-    return sum(pmf[: budget + 1])
+            loss = 1 - P
+            pmf = _convolve(
+                pmf, [comb(count, i) * loss**i * P ** (count - i) for i in range(count + 1)]
+            )
+        return sum(pmf[: budget + 1])
+    *rest_pmfs, last = [
+        (_scalar_binomial_pmf if isinstance(P, float) else binomial_pmf)(count, 1.0 - P)
+        for count, P in blocks
+    ] or [np.ones(1)]
+    rest = reduce(_convolve_rows, rest_pmfs) if rest_pmfs else np.ones(1)
+    cdf = np.cumsum(rest, axis=-1)
+    top = min(budget, last.shape[-1] - 1)
+    index = np.minimum(budget - np.arange(top + 1), cdf.shape[-1] - 1)
+    value = (last[..., : top + 1] * cdf[..., index]).sum(axis=-1)
+    if value.ndim == 0:
+        return min(max(float(value), 0.0), 1.0)
+    return np.clip(value, 0.0, 1.0)

@@ -12,8 +12,8 @@ All types are immutable; instances can be shared freely between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 class SplitMismatch(ValueError):
@@ -82,10 +82,6 @@ class QrsCode:
     def __post_init__(self) -> None:
         if self.d < 1 or self.k < 1:
             raise ValueError("code parameters must be positive")
-
-    @property
-    def radix(self) -> int:
-        return self.d
 
     def tolerance(self) -> int:
         """Maximum number of erased qudits the code recovers from."""

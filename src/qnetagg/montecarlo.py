@@ -29,9 +29,16 @@ class McEstimate:
     seed: int
 
     def agrees_with(self, exact: float, sigmas: float = 4.0) -> bool:
-        """True when ``exact`` lies within ``sigmas`` standard errors."""
-        slack = sigmas * self.std_error
-        return abs(self.mean - exact) <= max(slack, 1e-15)
+        """True when ``exact`` lies in the Wilson score interval at ``sigmas``.
+
+        Unlike mean +- sigmas standard errors, the Wilson interval (Wilson,
+        JASA 1927) keeps a nonzero width when every trial succeeds or every
+        trial fails, so an estimate of 1.0 still agrees with 1 - 1e-13.
+        """
+        n, z2 = self.samples, sigmas * sigmas
+        centre = (self.mean + z2 / (2 * n)) / (1 + z2 / n)
+        half = sigmas / (1 + z2 / n) * sqrt(self.mean * (1 - self.mean) / n + z2 / (4 * n * n))
+        return abs(exact - centre) <= half + 1e-15
 
 
 def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McEstimate:

@@ -4,7 +4,10 @@ Iso-curves answer: given the better channel at ``p2``, how low may the other
 channel's ``p1`` drop while the packet still succeeds with probability at
 least the target (default 0.995)?  Every evaluator is monotone in ``p1``, so
 plain bisection converges; the residual at every reported point is at most
-1e-9.
+1e-9.  A sweep bisects the points of its ``p2`` grid together: each of the
+60 steps evaluates the scenario once on numpy arrays of the points still
+being solved (for large codes, in fixed-size chunks of grid points).
+:func:`solve_p1` is the same bisection on a one-point grid.
 
 Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  In the
 two-channel uniform scenario the ``n``-qudit block travels in the adjustable
@@ -16,9 +19,10 @@ assignment, so it is fixed here rather than left to callers.
 from __future__ import annotations
 
 import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import closed_form, engine
 from .model import QrsCode, photons_per_qudit
@@ -27,6 +31,11 @@ DEFAULT_TARGET = 0.995
 DEFAULT_GRID = (0.3, 1.0, 0.002)
 RESIDUAL_BOUND = 1e-9
 _BISECTION_STEPS = 60
+# A sweep bisects at most _CHUNK_ENTRIES // (qudits + 1) grid points at a
+# time, so no (points, qudits + 1) block pmf exceeds 2^14 float64 entries
+# (128 KiB): small codes bisect the default grid in one go, and the
+# temporaries of large codes stay small.
+_CHUNK_ENTRIES = 1 << 14
 
 
 class Infeasible(ValueError):
@@ -39,10 +48,14 @@ class EmptyCurve(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named two-argument success evaluator."""
+    """A named two-argument success evaluator.
+
+    ``evaluate(p1, p2)`` takes floats or numpy arrays of one shape and
+    returns a float or an array of that shape; the planner passes arrays.
+    """
 
     name: str
-    evaluate: Callable[[float, float], float]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     photons: int
     qudits: int
 
@@ -99,26 +112,67 @@ def shared_photon_11_scenario() -> Scenario:
     )
 
 
+def _check_probability(name: str, value) -> None:
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name}={value} outside [0, 1]")
+
+
+def _bisect(
+    evaluate: Callable, p2: np.ndarray, target: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest p1 with P_S(p1, p2) >= target at every point of ``p2``, and feasibility.
+
+    One bisection for all points: each step evaluates the scenario once on
+    the array of points still being bisected.  Points where p1 = 1 falls
+    short are infeasible; points where p1 = 0 already meets the target get 0.
+    """
+    feasible = evaluate(np.ones_like(p2), p2) >= target
+    p1 = np.zeros_like(p2)
+    todo = np.flatnonzero(feasible & (evaluate(p1, p2) < target))
+    if todo.size:
+        p2 = p2[todo]
+        lo, hi = np.zeros_like(p2), np.ones_like(p2)
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            met = evaluate(mid, p2) >= target
+            hi = np.where(met, mid, hi)
+            lo = np.where(met, lo, mid)
+        off = np.abs(evaluate(hi, p2) - target) > RESIDUAL_BOUND
+        if off.any():
+            raise ArithmeticError(
+                f"bisection residual above {RESIDUAL_BOUND} at p2={p2[off][0]}"
+            )
+        p1[todo] = hi
+    return p1, feasible
+
+
+def _thresholds(
+    scenario: Scenario, p2_grid: Sequence[float], target: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated inputs, then :func:`_bisect` over the grid chunk by chunk."""
+    _check_probability("target", target)
+    for value in p2_grid:
+        _check_probability("p2", value)
+    p2 = np.array(p2_grid, dtype=float)
+    p1 = np.zeros_like(p2)
+    feasible = np.zeros(p2.shape, dtype=bool)
+    rows = max(1, _CHUNK_ENTRIES // (scenario.qudits + 1))
+    for start in range(0, len(p2), rows):
+        part = slice(start, start + rows)
+        p1[part], feasible[part] = _bisect(scenario.evaluate, p2[part], target)
+    return p1, feasible
+
+
 def solve_p1(scenario: Scenario, p2: float, target: float = DEFAULT_TARGET) -> float:
     """Smallest p1 with P_S(p1, p2) >= target, to residual 1e-9.
 
-    Raises :class:`Infeasible` when even p1 = 1 falls short.
+    Raises :class:`Infeasible` when even p1 = 1 falls short, and
+    ``ValueError`` when ``p2`` or ``target`` lies outside [0, 1].
     """
-    f = scenario.evaluate
-    if f(1.0, p2) < target:
+    p1, feasible = _thresholds(scenario, [p2], target)
+    if not feasible[0]:
         raise Infeasible(f"target {target} unreachable at p2={p2}")
-    if f(0.0, p2) >= target:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if f(mid, p2) >= target:
-            hi = mid
-        else:
-            lo = mid
-    if abs(f(hi, p2) - target) > RESIDUAL_BOUND:
-        raise ArithmeticError(f"bisection residual above {RESIDUAL_BOUND} at p2={p2}")
-    return hi
+    return float(p1[0])
 
 
 @dataclass(frozen=True)
@@ -160,19 +214,22 @@ def sweep_curve(
     p2_grid: Sequence[float],
     target: float = DEFAULT_TARGET,
 ) -> ThresholdCurve:
-    """Solve p1 at every grid point; infeasible points are reported, not fatal."""
-    if list(p2_grid) != sorted(p2_grid):
+    """Solve p1 at every grid point; infeasible points are reported, not fatal.
+
+    The points hold the caller's grid values.  Raises ``ValueError`` for an
+    unsorted grid or a ``p2`` or ``target`` outside [0, 1].
+    """
+    grid = list(p2_grid)
+    if grid != sorted(grid):
         raise ValueError("p2 grid must be sorted ascending")
-    points = []
-    infeasible = []
-    for p2 in p2_grid:
-        try:
-            points.append((p2, solve_p1(scenario, p2, target)))
-        except Infeasible:
-            infeasible.append(p2)
+    p1, feasible = _thresholds(scenario, grid, target)
+    points = tuple(
+        (p2, value) for p2, value, ok in zip(grid, p1.tolist(), feasible.tolist()) if ok
+    )
     if not points:
         raise EmptyCurve(f"no feasible point for target {target}")
-    return ThresholdCurve(tuple(points), target, scenario.describe(), tuple(infeasible))
+    infeasible = tuple(p2 for p2, ok in zip(grid, feasible.tolist()) if not ok)
+    return ThresholdCurve(points, target, scenario.describe(), infeasible)
 
 
 # --- allocation search ---------------------------------------------------------
@@ -230,13 +287,29 @@ def _allocation_success(problem: AllocationProblem, code: QrsCode, split) -> flo
     return engine.block_success(code, blocks)
 
 
+def _check_problem(problem: AllocationProblem, target: float) -> None:
+    """Raise ``ValueError`` naming the first entry of the problem that is invalid."""
+    _check_probability("target", target)
+    for ch in problem.channels:
+        _check_probability(f"channel {ch.id!r}: p", ch.p)
+        if ch.capacity < 0:
+            raise ValueError(f"channel {ch.id!r}: capacity {ch.capacity} is negative")
+    for code in problem.codes:
+        violations = code.check()
+        if violations:
+            raise ValueError(f"code d={code.d} k={code.k}: {violations[0]}")
+
+
 def allocate(problem: AllocationProblem, target: float = DEFAULT_TARGET) -> AllocationResult:
     """Minimal feasible allocation: fewest qudits, then photons, then
     lexicographically smallest split.
 
     Exhaustive over candidate codes and capped per-channel splits of all d
-    qudits.  Raises :class:`Infeasible` when nothing reaches the target.
+    qudits.  Raises :class:`Infeasible` when nothing reaches the target, and
+    ``ValueError`` naming the entry when a channel probability, a capacity,
+    a code or the target is invalid.
     """
+    _check_problem(problem, target)
     caps = [ch.capacity for ch in problem.channels]
     ranked = sorted(
         problem.codes, key=lambda c: (c.d, c.d * photons_per_qudit(c, problem.q), c.k)
@@ -261,6 +334,7 @@ def single_channel_solutions(
     problem: AllocationProblem, target: float = DEFAULT_TARGET
 ) -> list[tuple[QrsCode, str]]:
     """(code, channel) pairs where one channel alone fits and meets the target."""
+    _check_problem(problem, target)
     out = []
     for code in sorted(problem.codes, key=lambda c: c.d):
         for ch in problem.channels:

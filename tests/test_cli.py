@@ -138,6 +138,34 @@ def test_allocate_empty_channels_exit_4(tmp_path):
     assert result.returncode == 4
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--grid", "0.5:1.5:0.1"], ["--target", "1.5"]],
+    ids=["grid", "target"],
+)
+def test_sweep_range_errors_exit_2(flags):
+    result = run_cli(["sweep", "--d", "43", "--k", "22", "--q", "1", "--n", "20", *flags])
+    assert result.returncode == 2
+    assert "outside [0, 1]" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "channel,code,named",
+    [
+        ({"id": "a", "p": 1.7, "capacity": 3}, {"d": 3, "k": 2}, "channel 'a'"),
+        ({"id": "a", "p": 0.9, "capacity": -1}, {"d": 3, "k": 2}, "channel 'a'"),
+        ({"id": "a", "p": 0.9, "capacity": 4}, {"d": 4, "k": 2}, "d=4 k=2"),
+    ],
+    ids=["probability", "capacity", "code"],
+)
+def test_allocate_invalid_document_exit_2(tmp_path, channel, code, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"channels": [channel], "codes": [code], "q": 1}))
+    result = run_cli(["allocate", str(path)])
+    assert result.returncode == 2
+    assert named in result.stderr
+
+
 def test_verify_circuits_green(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli(["verify-circuits", "--out", str(out)])

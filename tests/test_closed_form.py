@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,47 @@ def test_ps15_range_sweep():
     for _ in range(1000):
         value = ps15(rnd.random(), rnd.random())
         assert 0.0 <= value <= 1.0
+
+
+def test_ps6_ps15_take_arrays_elementwise():
+    p1 = np.linspace(0.0, 1.0, 9)
+    p2 = np.linspace(1.0, 0.2, 9)
+    for f in (ps6, ps15):
+        values = f(p1, p2)
+        assert values.shape == (9,)
+        assert values.tolist() == [f(float(a), float(b)) for a, b in zip(p1, p2)]
+        with pytest.raises(ValueError):
+            f(np.array([0.5, 1.5]), np.array([0.9, 0.9]))
+
+
+# --- large codes ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1031, 2003])
+def test_large_codes_match_oracle(d):
+    # float(comb(d, j)) overflows for d >= 1031; each term comes from log(comb)
+    code = QrsCode(d, (d + 1) // 2)
+    budget = code.tolerance()
+    for p in (0.999, 0.94):
+        P = qudit_survival(code, 1, p)
+        assert ps_single(code, 1, p) == pytest.approx(pgf_success([P] * d, budget), abs=1e-12)
+        assert ps_single_withheld(code, 1, p, 3) == pytest.approx(
+            pgf_success([P] * (d - 3), budget - 3), abs=1e-12
+        )
+    n = d // 3
+    pa, pb = 0.95, 0.92
+    Pa, Pb = qudit_survival(code, 1, pa), qudit_survival(code, 1, pb)
+    value = ps_two_channel(code, 1, n, pa, pb)
+    assert value == pytest.approx(pgf_success([Pa] * (d - n) + [Pb] * n, budget), abs=1e-12)
+    assert 0.5 < value < 0.9
+
+
+def test_endpoint_probabilities_give_exact_values():
+    assert ps_single(QrsCode(7, 4), 1, 1) == 1
+    assert ps_single(QrsCode(7, 4), 1, 0.0) == 0.0
+    # the 20 qudits of the dead channel fit the tolerance of 21
+    assert ps_two_channel(D43, 1, 20, 1.0, 0.0) == 1.0
+    assert ps_two_channel(D43, 1, 23, 1.0, 0.0) == 0.0
 
 
 # --- shared properties -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_configuration
@@ -9,6 +10,7 @@ from qnetagg import closed_form
 from qnetagg.engine import (
     ClusterTooLarge,
     TooManyPhotons,
+    binomial_pmf,
     block_success,
     brute_force,
     cluster_decompose,
@@ -264,3 +266,72 @@ def test_block_success_matches_configuration_path():
         success_probability(config), abs=1e-12
     )
     assert block_success(code, blocks) == pytest.approx(0.9958, abs=5e-4)
+
+
+# --- block path: log-space pmf, arrays, large codes -------------------------------
+
+
+@pytest.mark.parametrize("d", [1031, 2003])
+@pytest.mark.parametrize("p", [0.999, 0.94])
+def test_block_success_large_codes(d, p):
+    # float(comb(d, i)) overflows for d >= 1031; the log-space pmf does not
+    code = QrsCode(d, (d + 1) // 2)
+    P = p**11
+    value = block_success(code, [(d, P)])
+    assert np.isfinite(value)
+    assert value == pytest.approx(pgf_success([P] * d, code.tolerance()), abs=1e-12)
+    assert value == pytest.approx(closed_form.ps_single(code, 1, p), abs=1e-12)
+
+
+def test_block_success_fraction_is_exact():
+    code = QrsCode(7, 4)
+    p = Fraction(96, 100)
+    value = block_success(code, [(7, p**3)])
+    assert isinstance(value, Fraction)
+    assert value == closed_form.ps_single(code, 1, p)
+    two = block_success(code, [(3, p**3), (4, Fraction(9, 10) ** 3)])
+    assert isinstance(two, Fraction)
+    assert two == pytest.approx(block_success(code, [(3, 0.96**3), (4, 0.9**3)]), abs=1e-15)
+
+
+def test_binomial_pmf_exact_at_zero_and_one():
+    for n in (1, 5, 211, 2003):
+        assert binomial_pmf(n, 0.0).tolist() == [1.0] + [0.0] * n
+        assert binomial_pmf(n, 1.0).tolist() == [0.0] * n + [1.0]
+    rows = binomial_pmf(4, np.array([0.0, 0.5, 1.0]))
+    assert rows.shape == (3, 5)
+    assert rows[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert rows[1] == pytest.approx([1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16], abs=1e-15)
+    assert rows[2].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_binomial_pmf_normalized_at_large_n():
+    pmf = binomial_pmf(2003, 0.3)
+    assert np.isfinite(pmf).all()
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pmf.argmax() == int(0.3 * 2004)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_block_success_arrays_match_scalar_calls(n_blocks, rng):
+    code = QrsCode(43, 22)
+    counts = [rng.randint(0, 43 // n_blocks) for _ in range(n_blocks)]
+    survivals = [np.array([rng.random() for _ in range(20)]) for _ in counts]
+    survivals[0][:2] = (0.0, 1.0)
+    values = block_success(code, list(zip(counts, survivals)))
+    assert isinstance(values, np.ndarray) and values.shape == (20,)
+    for g in range(20):
+        blocks = [(c, float(P[g])) for c, P in zip(counts, survivals)]
+        assert values[g] == pytest.approx(block_success(code, blocks), abs=1e-14)
+        survivals_g = [float(P[g]) for c, P in zip(counts, survivals) for _ in range(c)]
+        assert values[g] == pytest.approx(pgf_success(survivals_g, 21), abs=1e-12)
+
+
+def test_block_success_broadcasts_a_float_block():
+    code = QrsCode(43, 22)
+    p1 = np.linspace(0.0, 1.0, 11)
+    values = block_success(code, [(23, 0.99**6), (20, p1**6)])
+    assert values.shape == (11,)
+    for got, x in zip(values, p1):
+        assert got == pytest.approx(block_success(code, [(23, 0.99**6), (20, x**6)]), abs=1e-14)
+    assert block_success(code, [(43, p1)], withheld=22).tolist() == [0.0] * 11

@@ -12,6 +12,18 @@ def test_lossless_channel_is_certain():
     assert est.std_error == 0.0
 
 
+def test_zero_variance_estimate_agrees_with_exact():
+    # every trial succeeds: mean 1.0, standard error 0, exact 1 - 2.8e-13
+    config = uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.9999), 7)])
+    exact = engine.success_probability(config)
+    est = montecarlo.estimate(config, 8 << 16, seed=7)
+    assert est.mean == 1.0 and est.std_error == 0.0
+    assert exact < 1.0
+    assert est.agrees_with(exact, sigmas=4)
+    # the interval still has a lower end: 1 - 1e-3 is far below it
+    assert not est.agrees_with(1.0 - 1e-3, sigmas=4)
+
+
 def test_reproducible_under_fixed_seed():
     config = shared7_configuration(0.9, 0.95)
     a = montecarlo.estimate(config, 300_000, seed=42)

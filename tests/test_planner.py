@@ -1,14 +1,23 @@
 import io
 
+import numpy as np
 import pytest
 
+from oracles import enumerate_success, pgf_success
 from qnetagg import engine, planner
-from qnetagg.model import Channel, QrsCode, uniform_configuration
+from qnetagg.model import (
+    Channel,
+    QrsCode,
+    photons_per_qudit,
+    shared7_configuration,
+    uniform_configuration,
+)
 from qnetagg.planner import (
     AllocationProblem,
     ChannelSpec,
     EmptyCurve,
     Infeasible,
+    Scenario,
     allocate,
     grid_points,
     single_channel_solutions,
@@ -218,3 +227,133 @@ def test_appendix_diagonal_crossings():
     for n in (50, 80, 100):
         s = planner.two_channel_scenario(code, 8, n)
         assert solve_p1(s, p_star) == pytest.approx(p_star, abs=0.002)
+
+
+# --- the batched bisection ----------------------------------------------------------
+
+
+def _block_value(code, q, n, p1, p2):
+    """P_S by the generating-function oracle: n qudits at p1, the rest at p2."""
+    m = photons_per_qudit(code, q)
+    return pgf_success([p2**m] * (code.d - n) + [p1**m] * n, code.tolerance())
+
+
+@pytest.mark.parametrize("code,q,n", [(D43, 1, 20), (D43, 4, 12), (QrsCode(211, 106), 8, 50)])
+def test_batched_sweep_points_meet_target(code, q, n):
+    s = planner.two_channel_scenario(code, q, n)
+    curve = sweep_curve(s, grid_points(*planner.DEFAULT_GRID))
+    assert len(curve.points) + len(curve.infeasible) == 351
+    for p2, p1 in curve.points:
+        value = _block_value(code, q, n, p1, p2)
+        if p1 == 0.0:
+            assert value >= 0.995 - 1e-12
+        else:
+            assert abs(value - 0.995) <= 1e-9, (p2, p1, value)
+    for p2 in curve.infeasible:
+        assert _block_value(code, q, n, 1.0, p2) < 0.995
+
+
+def test_batched_shared7_points_meet_target():
+    curve = sweep_curve(planner.shared_photon_7_scenario(), grid_points(0.9, 1.0, 0.01))
+    assert curve.points[-1] == (1.0, 0.0)
+    for p2, p1 in curve.points[:-1]:
+        value = enumerate_success(shared7_configuration(p1, p2))
+        assert abs(value - 0.995) <= 1e-9, (p2, p1, value)
+
+
+def test_infeasible_and_zero_points_follow_scalar_definition():
+    s = planner.two_channel_scenario(D43, 4, 12)
+    grid = grid_points(0.3, 1.0, 0.01)
+    curve = sweep_curve(s, grid, target=0.99)
+    zeros = [p2 for p2 in grid if s.evaluate(0.0, p2) >= 0.99]
+    infeasible = [p2 for p2 in grid if s.evaluate(1.0, p2) < 0.99]
+    assert zeros and infeasible
+    assert list(curve.infeasible) == infeasible
+    assert [p2 for p2, p1 in curve.points if p1 == 0.0] == zeros
+
+
+def test_solve_p1_equals_sweep_point():
+    for s in (
+        planner.two_channel_scenario(D43, 1, 20),
+        planner.two_channel_scenario(QrsCode(211, 106), 8, 50),
+        planner.shared_photon_7_scenario(),
+        planner.single_channel_scenario(QrsCode(11, 6), 2),
+    ):
+        # 141 points: the d=211 sweep bisects them in two chunks
+        grid = grid_points(0.3, 1.0, 0.005)
+        curve = sweep_curve(s, grid)
+        solved = dict(curve.points)
+        for p2 in grid:
+            if p2 in solved:
+                assert solve_p1(s, p2) == solved[p2]
+            else:
+                with pytest.raises(Infeasible):
+                    solve_p1(s, p2)
+
+
+def test_sweep_points_hold_callers_grid_and_floats():
+    grid = grid_points(0.9, 1.0, 0.01)
+    curve = sweep_curve(planner.shared_photon_11_scenario(), grid)
+    assert [p2 for p2, _ in curve.points] == grid[len(grid) - len(curve.points) :]
+    for (p2, p1), want in zip(curve.points, grid[len(grid) - len(curve.points) :]):
+        assert p2 is want
+        assert type(p1) is float
+
+
+def test_residual_check_raises():
+    # a step in p1: bisection converges on the jump, where the residual stays large
+    step = Scenario("step", lambda p1, p2: np.where(p1 >= 0.5, 1.0, 0.0), 1, 1)
+    with pytest.raises(ArithmeticError):
+        solve_p1(step, 0.9)
+    with pytest.raises(ArithmeticError):
+        sweep_curve(step, [0.8, 0.9])
+
+
+@pytest.mark.parametrize("p2", [1.5, -0.1, float("nan")])
+def test_p2_outside_unit_interval_rejected(p2):
+    s = planner.two_channel_scenario(D43, 1, 20)
+    with pytest.raises(ValueError, match=r"p2=.* outside \[0, 1\]"):
+        solve_p1(s, p2)
+    with pytest.raises(ValueError, match=r"p2=.* outside \[0, 1\]"):
+        sweep_curve(s, [0.5, p2] if p2 > 0.5 else [p2, 0.5])
+
+
+@pytest.mark.parametrize("target", [1.5, -0.1])
+def test_target_outside_unit_interval_rejected(target):
+    s = planner.two_channel_scenario(D43, 1, 20)
+    with pytest.raises(ValueError, match=r"target=.* outside \[0, 1\]"):
+        solve_p1(s, 0.99, target=target)
+    with pytest.raises(ValueError, match=r"target=.* outside \[0, 1\]"):
+        sweep_curve(s, [0.9, 0.99], target=target)
+    with pytest.raises(ValueError, match=r"target=.* outside \[0, 1\]"):
+        allocate(FIG2A, target=target)
+
+
+def test_large_code_sweep_is_finite_and_monotone():
+    code = QrsCode(2003, 1002)
+    s = planner.two_channel_scenario(code, 1, 600)
+    curve = sweep_curve(s, grid_points(0.93, 1.0, 0.005))
+    p1s = [p1 for _, p1 in curve.points]
+    assert curve.points and all(np.isfinite(p1s))
+    assert all(a >= b - 1e-9 for a, b in zip(p1s, p1s[1:]))
+    p2, p1 = curve.points[0]
+    assert abs(_block_value(code, 1, 600, p1, p2) - 0.995) <= 1e-9
+
+
+# --- allocation input -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "channels,codes,names",
+    [
+        ((ChannelSpec("a", 1.7, 3),), (QrsCode(3, 2),), "channel 'a'"),
+        ((ChannelSpec("a", 0.9, 3), ChannelSpec("b", 0.9, -1)), (QrsCode(3, 2),), "channel 'b'"),
+        ((ChannelSpec("a", 0.9, 9),), (QrsCode(3, 2), QrsCode(4, 2)), "d=4 k=2"),
+    ],
+    ids=["probability", "capacity", "code"],
+)
+def test_allocate_rejects_invalid_entries(channels, codes, names):
+    problem = AllocationProblem(channels=channels, codes=codes, q=1)
+    with pytest.raises(ValueError, match=names) as info:
+        allocate(problem)
+    assert not isinstance(info.value, Infeasible)
