@@ -1,7 +1,8 @@
 """Command-line interface: success evaluation, curve sweeps, allocation, circuit checks.
 
-Exit codes: 0 success, 2 validation error (a configuration, an allocation
-problem, or a sweep's grid or target outside [0, 1]), 3 fully infeasible
+Exit codes: 0 success, 2 validation error (a malformed or invalid
+configuration or allocation document, a sweep's grid or target outside
+[0, 1], or a sweep with no layout chosen), 3 fully infeasible
 sweep, 4 infeasible allocation, 5 circuit verification failure.  All output
 is deterministic for fixed flags: fixed float formatting, fixed ordering,
 seeded sampling.
@@ -38,12 +39,22 @@ def _parse_grid(text: str) -> list[float]:
     return planner.grid_points(lo, hi, step)
 
 
+def _describe(exc: Exception) -> str:
+    """One line for a malformed document: a missing key or a bad value."""
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}"
+    return str(exc)
+
+
 def cmd_success(args) -> int:
     try:
         config = validate(load_config(args.config))
     except InvalidConfiguration as exc:
         for v in exc.violations:
             print(f"invalid: {v}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (KeyError, ValueError) as exc:
+        print(f"invalid: {_describe(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     exact = success_probability(config)
     print(f"success_probability {exact:.15g}")
@@ -62,12 +73,12 @@ def _sweep_scenario(args) -> planner.Scenario:
     if args.shared15:
         return planner.shared_photon_11_scenario()
     if args.d is None or args.k is None:
-        raise SystemExit("sweep: --d and --k are required unless a fixed layout is chosen")
+        raise ValueError("--d and --k are required unless a fixed layout is chosen")
     code = QrsCode(args.d, args.k)
     if args.single:
         return planner.single_channel_scenario(code, args.q)
     if args.n is None:
-        raise SystemExit("sweep: choose --single, --n, --fig4a or --fig4b-eq5")
+        raise ValueError("choose --single, --n, --fig4a or --fig4b-eq5")
     return planner.two_channel_scenario(code, args.q, args.n)
 
 
@@ -108,8 +119,8 @@ def cmd_allocate(args) -> int:
     except planner.Infeasible:
         print("allocate: no feasible allocation", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"allocate: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:
+        print(f"allocate: {_describe(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     out = result.summary(problem)
     out["single_channel_solutions"] = [

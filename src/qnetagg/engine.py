@@ -3,13 +3,19 @@
 The photon-qudit incidence graph splits into connected components
 ("clusters").  Loss counts in different clusters are independent, so the
 packet-level loss distribution is the convolution of per-cluster
-distributions; withheld qudits add a deterministic offset.  Single-qudit
-clusters reduce to a Bernoulli survival (product of photon probabilities);
-multi-qudit clusters are enumerated exhaustively over photon arrival
-patterns, capped at 24 photons per cluster.
+distributions; withheld qudits add a deterministic offset.
 
-Floats run through vectorised numpy paths; Fraction-valued channel
-probabilities fall back to pure-python arithmetic and stay exact.
+Each cluster is evaluated exactly by one walk over its photons
+(frontier-based reliability, a form of bucket elimination).  Photons are
+taken greedily, next the one sharing the most qudits with those already
+touched.  A qudit is open from its first photon to its last; a state is the
+set of open qudits already erased and carries the pmf of the erased count
+among closed qudits.  The cost follows the number of states, not 2^photons:
+paths and rings stay at a handful at any length, and
+:class:`ClusterTooLarge` is raised when a step would hold more than
+2^CLUSTER_STATE_BITS states (no cluster of at most 16 photons can).  The same
+arithmetic serves floats and Fractions; Fraction probabilities give exact
+results.
 
 Layouts where every photon holds one qudit have a fast path,
 :func:`block_success`: qudits fail independently in blocks of equal
@@ -30,13 +36,14 @@ import numpy as np
 
 from .model import MultiplexConfiguration, QrsCode, validate
 
-CLUSTER_PHOTON_LIMIT = 24
+CLUSTER_STATE_BITS = 16
 BRUTE_FORCE_PHOTON_LIMIT = 20
 _CHUNK_BITS = 20
 
 
 class ClusterTooLarge(ValueError):
-    """A connected photon cluster exceeds the exact-enumeration bound."""
+    """A cluster's photon walk would hold more than 2^CLUSTER_STATE_BITS
+    states: too many of its qudits are open at once."""
 
 
 class TooManyPhotons(ValueError):
@@ -116,98 +123,77 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
     ]
 
 
-def _enumerate_cluster_python(probs, owners, n_qudits: int):
-    """Reference enumeration; also the exact path for Fraction probabilities."""
-    m = len(probs)
-    pmf = [0] * (n_qudits + 1)
-    masks = [0] * n_qudits
-    for i, qs in enumerate(owners):
+def _photon_order(qudits: dict[int, tuple[int, ...]]) -> list[int]:
+    """Greedy walk order over ``{photon index: its qudits}``: next the photon
+    sharing the most qudits with those already touched, ties in config order."""
+    holders: dict[int, list[int]] = {}
+    for i, qs in qudits.items():
         for q in qs:
-            masks[q] |= 1 << i
-    for pattern in range(1 << m):
-        weight = 1
-        for i, p in enumerate(probs):
-            weight = weight * (p if pattern >> i & 1 else 1 - p)
-        lost = sum(1 for mask in masks if pattern & mask != mask)
-        pmf[lost] += weight
-    return pmf
-
-
-def _enumerate_cluster_numpy(probs, owners, n_qudits: int):
-    m = len(probs)
-    masks = [0] * n_qudits
-    for i, qs in enumerate(owners):
-        for q in qs:
-            masks[q] |= 1 << i
-    pmf = np.zeros(n_qudits + 1)
-    p_arr = [float(p) for p in probs]
-    for start in range(0, 1 << m, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << m)
-        patterns = np.arange(start, stop, dtype=np.uint64)
-        weights = np.ones(stop - start)
-        for i, p in enumerate(p_arr):
-            bit = (patterns >> np.uint64(i)) & np.uint64(1)
-            weights *= np.where(bit == 1, p, 1.0 - p)
-        lost = np.zeros(stop - start, dtype=np.int64)
-        for mask in masks:
-            m_u = np.uint64(mask)
-            lost += ((patterns & m_u) != m_u).astype(np.int64)
-        pmf += np.bincount(lost, weights=weights, minlength=n_qudits + 1)
-    return pmf.tolist()
+            holders.setdefault(q, []).append(i)
+    shared = dict.fromkeys(sorted(qudits), 0)  # touched qudits per remaining photon
+    order = []
+    while shared:
+        best = max(shared, key=shared.__getitem__)
+        del shared[best]
+        order.append(best)
+        for q in qudits[best]:
+            for j in holders.pop(q, ()):
+                if j in shared:
+                    shared[j] += 1
+    return order
 
 
 def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration):
     """Loss pmf over this cluster's qudits (length ``len(qudits) + 1``).
 
-    Enumerates all 2^m photon arrival patterns; a qudit is erased when any
-    of its photons is lost.
+    A qudit is erased when any of its photons is lost.  The photons are
+    walked in :func:`_photon_order`; a state is the bitmask of the open
+    qudits (touched, last photon not yet walked) that are already erased,
+    and maps to the pmf of the erased count among closed qudits.
     """
-    m = len(cluster.photon_indices)
-    if m > CLUSTER_PHOTON_LIMIT:
-        raise ClusterTooLarge(
-            f"cluster has {m} photons, exact enumeration capped at {CLUSTER_PHOTON_LIMIT}"
-        )
-    all_probs = config.photon_probabilities()
-    probs = [all_probs[i] for i in cluster.photon_indices]
-    local = {q: i for i, q in enumerate(cluster.qudit_indices)}
-    owners = [
-        tuple(local[q] for q in config.photons[i].qudits) for i in cluster.photon_indices
-    ]
-    n_qudits = len(cluster.qudit_indices)
-
-    if len(cluster.qudit_indices) == 1:
-        # Single-qudit cluster: survives iff every photon arrives.
-        survive = 1
-        for p in probs:
-            survive = survive * p
-        return [survive, 1 - survive]
-
-    if _is_exact(probs):
-        return _enumerate_cluster_python(probs, owners, n_qudits)
-    return _enumerate_cluster_numpy(probs, owners, n_qudits)
-
-
-def _convolve(a, b):
-    if isinstance(a, np.ndarray) or (
-        a and b and isinstance(a[0], float) and isinstance(b[0], float)
-    ):
-        return np.convolve(np.asarray(a, dtype=float), np.asarray(b, dtype=float)).tolist()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    arrival = {
+        ch.id: ch.p if isinstance(ch.p, Fraction) else float(ch.p) for ch in config.channels
+    }
+    qudits = {i: config.photons[i].qudits for i in cluster.photon_indices}
+    order = _photon_order(qudits)
+    last = {q: step for step, i in enumerate(order) for q in qudits[i]}
+    states = {0: [1]}
+    for step, i in enumerate(order):
+        p = arrival[config.photons[i].channel_id]
+        hit = sum(1 << q for q in qudits[i])
+        closing = sum(1 << q for q in qudits[i] if last[q] == step)
+        walked: dict[int, list] = {}
+        for mask, pmf in states.items():
+            if mask & hit == hit:
+                branches = ((mask, 1),)
+            else:
+                branches = ((mask, p), (mask | hit, 1 - p))
+            for erased, weight in branches:
+                shift = (erased & closing).bit_count()
+                erased &= ~closing
+                acc = walked.get(erased)
+                if acc is None:
+                    if len(walked) == 1 << CLUSTER_STATE_BITS:
+                        raise ClusterTooLarge(
+                            f"cluster of {len(order)} photons needs more than "
+                            f"2^{CLUSTER_STATE_BITS} states at photon {step}"
+                        )
+                    walked[erased] = [0] * shift + [weight * x for x in pmf]
+                    continue
+                if len(acc) < shift + len(pmf):
+                    acc.extend([0] * (shift + len(pmf) - len(acc)))
+                for j, x in enumerate(pmf, shift):
+                    acc[j] += weight * x
+        states = walked
+    (pmf,) = states.values()
+    return pmf + [0] * (len(cluster.qudit_indices) + 1 - len(pmf))
 
 
 def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
     """Exact distribution of erased qudits for a validated configuration."""
     validate(config)
-    pmf = [1]
-    for cluster in cluster_decompose(config):
-        pmf = _convolve(pmf, cluster_loss_pmf(cluster, config))
-    expected = config.transmitted + 1
-    if len(pmf) < expected:
-        pmf = list(pmf) + [0] * (expected - len(pmf))
+    pmfs = (cluster_loss_pmf(cluster, config) for cluster in cluster_decompose(config))
+    pmf = np.asarray(reduce(np.convolve, pmfs, [1])).tolist()
     return LossDistribution(tuple(pmf), offset=config.withheld)
 
 
@@ -221,7 +207,11 @@ def success_probability(config: MultiplexConfiguration):
 
 
 def brute_force(config: MultiplexConfiguration):
-    """Independent oracle: one flat enumeration over all photons, no clustering."""
+    """Independent oracle: one flat enumeration over all photons, no clustering.
+
+    Pattern weights are float64, or Python objects when any channel
+    probability is a Fraction, which keeps the result an exact Fraction.
+    """
     validate(config)
     n = len(config.photons)
     if n > BRUTE_FORCE_PHOTON_LIMIT:
@@ -229,34 +219,28 @@ def brute_force(config: MultiplexConfiguration):
             f"{n} photons exceeds brute-force bound {BRUTE_FORCE_PHOTON_LIMIT}"
         )
     probs = config.photon_probabilities()
-    owners = [ph.qudits for ph in config.photons]
     budget = config.code.tolerance() - config.withheld
     if budget < 0:
         return 0.0
-
-    if _is_exact(probs):
-        pmf = _enumerate_cluster_python(probs, owners, config.transmitted)
-        return sum(pmf[: budget + 1])
-
+    exact = _is_exact(probs)
     masks = [0] * config.transmitted
-    for i, qs in enumerate(owners):
-        for q in qs:
+    for i, ph in enumerate(config.photons):
+        for q in ph.qudits:
             masks[q] |= 1 << i
-    total = 0.0
-    p_arr = [float(p) for p in probs]
+    total = 0
     for start in range(0, 1 << n, 1 << _CHUNK_BITS):
         stop = min(start + (1 << _CHUNK_BITS), 1 << n)
         patterns = np.arange(start, stop, dtype=np.uint64)
-        weights = np.ones(stop - start)
-        for i, p in enumerate(p_arr):
+        weights = np.ones(stop - start, dtype=object if exact else float)
+        for i, p in enumerate(probs):
             bit = (patterns >> np.uint64(i)) & np.uint64(1)
-            weights *= np.where(bit == 1, p, 1.0 - p)
+            weights *= np.where(bit == 1, p, 1 - p)
         lost = np.zeros(stop - start, dtype=np.int64)
         for mask in masks:
             m_u = np.uint64(mask)
             lost += ((patterns & m_u) != m_u).astype(np.int64)
-        total += float(weights[lost <= budget].sum())
-    return min(max(total, 0.0), 1.0)
+        total += weights[lost <= budget].sum()
+    return total if exact else min(max(float(total), 0.0), 1.0)
 
 
 # --- fast path for block-uniform layouts --------------------------------------
@@ -343,7 +327,7 @@ def block_success(code: QrsCode, blocks, withheld: int = 0):
         pmf = [1]
         for count, P in blocks:
             loss = 1 - P
-            pmf = _convolve(
+            pmf = np.convolve(
                 pmf, [comb(count, i) * loss**i * P ** (count - i) for i in range(count + 1)]
             )
         return sum(pmf[: budget + 1])

@@ -52,3 +52,38 @@ def pgf_success(survivals, budget: int) -> float:
         return 0.0
     pmf = pgf_loss_pmf([1.0 - s for s in survivals])
     return float(pmf[: budget + 1].sum())
+
+
+def chain_loss_pmf(own_survivals, link_arrivals, ring: bool = False) -> np.ndarray:
+    """Loss pmf of qudits in a path or ring, by a two-state transfer matrix.
+
+    Qudit ``i`` survives with probability ``own_survivals[i]`` on its own and
+    is also erased when link ``i`` (to qudit ``i + 1``) or link ``i - 1`` is
+    lost; link ``i`` arrives with probability ``link_arrivals[i]``.  A path
+    has ``n - 1`` links, a ring ``n`` (the last joins qudit ``n - 1`` to 0).
+    The state is whether the link on the left of the next qudit was lost.
+    """
+    n = len(own_survivals)
+    total = np.zeros(n + 1)
+    # a ring is the sum over the closing link's two states; a path has none
+    closings = [(True, 1.0 - link_arrivals[-1]), (False, link_arrivals[-1])] if ring else [
+        (False, 1.0)
+    ]
+    for closing_lost, closing_weight in closings:
+        rows = {closing_lost: np.array([closing_weight]), not closing_lost: np.zeros(1)}
+        for i, s in enumerate(own_survivals):
+            if i < n - 1:
+                rights = [(True, 1.0 - link_arrivals[i]), (False, link_arrivals[i])]
+            else:
+                rights = [(closing_lost, 1.0)]
+            nxt = {True: np.zeros(i + 2), False: np.zeros(i + 2)}
+            for left, row in rows.items():
+                for right, w in rights:
+                    if left or right:
+                        nxt[right][1:] += w * row
+                    else:
+                        nxt[right][:-1] += w * s * row
+                        nxt[right][1:] += w * (1.0 - s) * row
+            rows = nxt
+        total += rows[True] + rows[False]
+    return total

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +16,17 @@ from qnetagg.model import (
 )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, tmp_path=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "qnetagg.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return result
 
@@ -58,6 +66,26 @@ def test_success_validation_error_names_qudit(broken_config):
     result = run_cli(["success", broken_config])
     assert result.returncode == 2
     assert "qudit 6" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "edit,named",
+    [
+        (lambda doc: doc["code"].pop("k"), "missing key 'k'"),
+        (lambda doc: doc["channels"][0].update(p=1.5), "outside [0, 1]"),
+        (lambda doc: doc["code"].update(k=0), "must be positive"),
+    ],
+    ids=["missing-k", "probability", "k-zero"],
+)
+def test_success_malformed_document_exit_2(tmp_path, edit, named):
+    doc = config_to_dict(uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.96), 7)]))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli(["success", str(path)])
+    assert result.returncode == 2
+    assert named in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_success_mc_byte_identical(fig2b_config):
@@ -112,6 +140,12 @@ def test_sweep_deterministic_output(tmp_path):
     assert a.stdout == b.stdout
 
 
+def test_sweep_without_layout_exit_2():
+    result = run_cli(["sweep", "--d", "43", "--k", "22"])
+    assert result.returncode == 2
+    assert "choose --single" in result.stderr
+
+
 def test_allocate_reports_aggregated_split(tmp_path):
     problem = {
         "channels": [
@@ -164,6 +198,16 @@ def test_allocate_invalid_document_exit_2(tmp_path, channel, code, named):
     result = run_cli(["allocate", str(path)])
     assert result.returncode == 2
     assert named in result.stderr
+
+
+def test_allocate_missing_key_exit_2(tmp_path):
+    path = tmp_path / "bad.json"
+    doc = {"channels": [{"id": "a", "capacity": 3}], "codes": [{"d": 3, "k": 2}], "q": 1}
+    path.write_text(json.dumps(doc))
+    result = run_cli(["allocate", str(path)])
+    assert result.returncode == 2
+    assert "missing key 'p'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_verify_circuits_green(tmp_path):

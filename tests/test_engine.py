@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
-from oracles import enumerate_success, pgf_success
+from oracles import chain_loss_pmf, enumerate_success, pgf_loss_pmf, pgf_success
 from qnetagg import closed_form
 from qnetagg.engine import (
     ClusterTooLarge,
@@ -81,16 +81,83 @@ def test_cluster_pmf_lossless():
         assert sum(pmf[1:]) == pytest.approx(0.0, abs=1e-15)
 
 
+def _assert_pmf_matches(config, want):
+    dist = loss_distribution(config)
+    assert len(dist.pmf) == len(want)
+    for got, ref in zip(dist.pmf, want):
+        assert got == pytest.approx(ref, abs=1e-12)
+    budget = config.code.tolerance() - config.withheld
+    assert success_probability(config) == pytest.approx(sum(want[: budget + 1]), abs=1e-12)
+
+
 def test_cluster_too_large():
-    # chain all 29 qudits (5 qubits each) into one 30-photon cluster
+    # a 30-photon chain over all 29 qudits (5 qubits each), past the old
+    # 24-photon enumeration cap, now evaluates
     code = QrsCode(29, 15)
     ch = Channel("c", 0.9)
     photons = [Photon("c", ((i, 3), (i + 1, 2))) for i in range(28)]
     photons.append(Photon("c", ((0, 2),)))
     photons.append(Photon("c", ((28, 3),)))
     config = MultiplexConfiguration(code, (ch,), tuple(photons))
+    _assert_pmf_matches(config, chain_loss_pmf([0.9] + [1.0] * 27 + [0.9], [0.9] * 28))
+
+    # photons along the edges of a random 8-regular graph (4 disjoint
+    # Hamiltonian cycles) over 131 qudits keep too many qudits open at once
+    rng = random.Random(131)
+    edges: set[frozenset] = set()
+    for _ in range(4):
+        while True:
+            perm = list(range(131))
+            rng.shuffle(perm)
+            cycle = {frozenset((perm[i], perm[i - 1])) for i in range(131)}
+            if not cycle & edges:
+                edges |= cycle
+                break
+    pairs = sorted(tuple(sorted(e)) for e in edges)
+    photons = tuple(Photon("c", ((u, 1), (v, 1))) for u, v in pairs)
+    assert len(photons) == 524
+    config = MultiplexConfiguration(QrsCode(131, 66), (ch,), photons)
     with pytest.raises(ClusterTooLarge):
         success_probability(config)
+
+
+def test_long_path_matches_transfer_matrix():
+    # 59 qudits (6 qubits each) chained by 58 shared photons plus one own
+    # photon at each end: 60 photons in one cluster
+    channels = (Channel("a", 0.93), Channel("b", 0.97), Channel("c", 0.99))
+    ids = [ch.id for ch in channels]
+    links = [Photon(ids[i % 3], ((i, 3), (i + 1, 3))) for i in range(58)]
+    ends = [Photon("a", ((0, 3),)), Photon("b", ((58, 3),))]
+    config = MultiplexConfiguration(QrsCode(59, 30), channels, tuple(links + ends))
+    assert len(cluster_decompose(config)) == 1
+    p = {ch.id: ch.p for ch in channels}
+    own = [0.93] + [1.0] * 57 + [0.97]
+    _assert_pmf_matches(config, chain_loss_pmf(own, [p[ph.channel_id] for ph in links]))
+
+
+def test_long_ring_matches_transfer_matrix():
+    # 40 transmitted qudits (6 qubits each) in a ring of 40 shared photons
+    channels = (Channel("a", 0.95), Channel("b", 0.9))
+    photons = tuple(Photon("ab"[i % 3 == 0], ((i, 3), ((i + 1) % 40, 3))) for i in range(40))
+    config = MultiplexConfiguration(QrsCode(41, 21), channels, photons, withheld=1)
+    (cluster,) = cluster_decompose(config)
+    arrivals = [0.95 if ph.channel_id == "a" else 0.9 for ph in photons]
+    want = chain_loss_pmf([1.0] * 40, arrivals, ring=True)
+    assert cluster_loss_pmf(cluster, config) == pytest.approx(want.tolist(), abs=1e-12)
+    _assert_pmf_matches(config, want)
+
+
+def test_hub_last_star_evaluates():
+    # 18 spoke qudits each share one qubit with a hub photon listed last;
+    # walked in config order all 18 would stay open (2^18 states)
+    channels = (Channel("spoke", 0.9), Channel("hub", 0.8))
+    photons = [Photon("spoke", ((i, 4),)) for i in range(18)]
+    photons.append(Photon("spoke", ((18, 5),)))
+    photons.append(Photon("hub", tuple((i, 1) for i in range(18))))
+    config = MultiplexConfiguration(QrsCode(19, 10), channels, tuple(photons))
+    spokes = 0.8 * pgf_loss_pmf([0.1] * 18)
+    spokes[18] += 0.2
+    _assert_pmf_matches(config, np.convolve(spokes, [0.9, 0.1]))
 
 
 def test_loss_distribution_normalized(rng):
@@ -204,10 +271,21 @@ def test_exact_rational_mode(rng):
         assert abs(success_probability(float_config) - exact) < 1e-12
 
 
+def test_brute_force_fraction_is_exact(rng):
+    for _ in range(5):
+        config = random_configuration(rng, max_photons=10)
+        channels = tuple(
+            Channel(c.id, Fraction(round(c.p * 1000), 1000)) for c in config.channels
+        )
+        exact = MultiplexConfiguration(config.code, channels, config.photons, config.withheld)
+        oracle = brute_force(exact)
+        value = success_probability(exact)
+        assert isinstance(oracle, Fraction) and isinstance(value, Fraction)
+        assert oracle == value
+
+
 def test_convolution_order_invariance_exact(rng):
     # convolving cluster pmfs in any order gives identical results, exactly
-    from qnetagg.engine import _convolve
-
     config = shared7_configuration(Fraction(7, 10), Fraction(9, 10))
     clusters = cluster_decompose(config)
     pmfs = [cluster_loss_pmf(c, config) for c in clusters]
@@ -216,11 +294,11 @@ def test_convolution_order_invariance_exact(rng):
         rng.shuffle(order)
         forward = [1]
         for i in order:
-            forward = _convolve(forward, pmfs[i])
+            forward = np.convolve(forward, pmfs[i])
         backward = [1]
         for i in reversed(order):
-            backward = _convolve(backward, pmfs[i])
-        assert forward == backward
+            backward = np.convolve(backward, pmfs[i])
+        assert forward.tolist() == backward.tolist()
 
 
 def test_cluster_order_permutation_invariance(rng):
