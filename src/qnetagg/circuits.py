@@ -14,6 +14,11 @@ intended states:
 * the swap-conjugated CNOT constructions between arbitrary degrees of
   freedom of two photons, and the branch-split Toffoli.
 
+Every gate and oracle matrix is a basis permutation built by
+:func:`permutation_matrix`, or a product of such (the swap-conjugated CNOTs,
+the relabeled Toffolis), except the branch rotation and the mode-split
+composite, which adds a late-branch CNOT to the early-branch identity.
+
 Photonic mode elements (PBS, delay line, optical switch) are modeled as
 unitaries on the (polarization, time-bin) qubits; there is no Fock-space
 simulation.  Basis conventions: polarization H=0/V=1, time-bin S=0/L=1;
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,16 +54,6 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "PureState":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return PureState(self.radices, self.amplitudes / n)
-
-    def check_normalized(self, tol: float = UNITARY_TOL) -> None:
-        if abs(self.norm() - 1.0) > tol:
-            raise NonNormalizedInput(f"state norm {self.norm()} differs from 1")
 
     def fidelity(self, other: "PureState") -> float:
         """|<self|other>|^2; insensitive to global phase."""
@@ -126,7 +121,6 @@ def apply_unitary(
     rest = [i for i in range(n) if i not in targets]
     perm = targets + rest
     moved = np.transpose(psi, perm)
-    shape = moved.shape
     slicer: list = [slice(None)] * len(rest)
     for axis, value in controls:
         slicer[rest.index(axis)] = value
@@ -162,10 +156,17 @@ def run(state: PureState, gates: Sequence[Gate]) -> PureState:
 
 # --- elementary matrices -------------------------------------------------------
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-SWAP2 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+
+def permutation_matrix(size: int, image: Callable[[int], int]) -> np.ndarray:
+    """The ``size``-square basis permutation sending ``|i>`` to ``|image(i)>``."""
+    m = np.zeros((size, size), dtype=complex)
+    for i in range(size):
+        m[image(i), i] = 1.0
+    return m
+
+
+X = permutation_matrix(2, lambda i: 1 - i)
+SWAP2 = permutation_matrix(4, lambda i: (i & 1) << 1 | i >> 1)  # swap two qubits
 
 
 def branch_rotation(theta: float) -> np.ndarray:
@@ -176,30 +177,19 @@ def branch_rotation(theta: float) -> np.ndarray:
     )
 
 
-def qutrit_subtract_gate() -> np.ndarray:
-    """|c, t> -> |c, t - c mod 3| on two qutrits."""
-    m = np.zeros((9, 9), dtype=complex)
-    for c in range(3):
-        for t in range(3):
-            m[3 * c + (t - c) % 3, 3 * c + t] = 1.0
-    return m
+def qutrit_shift_gate(sign: int) -> np.ndarray:
+    """|c, t> -> |c, t + sign*c mod 3> on two qutrits: +1 adds, -1 subtracts."""
 
+    def image(idx: int) -> int:
+        c, t = divmod(idx, 3)
+        return 3 * c + (t + sign * c) % 3
 
-def qutrit_add_gate() -> np.ndarray:
-    """|c, t> -> |c, t + c mod 3| on two qutrits (control-cyclic add)."""
-    m = np.zeros((9, 9), dtype=complex)
-    for c in range(3):
-        for t in range(3):
-            m[3 * c + (t + c) % 3, 3 * c + t] = 1.0
-    return m
+    return permutation_matrix(9, image)
 
 
 def pair_permutation(mapping: dict[int, int]) -> np.ndarray:
     """4x4 permutation of one photon's (pol, tb) basis H_S, H_L, V_S, V_L."""
-    m = np.zeros((4, 4), dtype=complex)
-    for src in range(4):
-        m[mapping.get(src, src), src] = 1.0
-    return m
+    return permutation_matrix(4, lambda src: mapping.get(src, src))
 
 
 # Mode swaps used by the cross-DOF CNOT constructions.  Basis index 2*pol+tb.
@@ -242,9 +232,9 @@ def logical_pair_state(alpha: complex, beta: complex, gamma: complex) -> PureSta
     return PureState((2,) * 6, amp)
 
 
-def _check_qutrit_amplitudes(alpha, beta, gamma) -> None:
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2 - 1.0) > 1e-9:
-        raise NonNormalizedInput("|alpha|^2 + |beta|^2 + |gamma|^2 must be 1")
+def _check_amplitudes(*amps: complex) -> None:
+    if abs(sum(abs(a) ** 2 for a in amps) - 1.0) > 1e-9:
+        raise NonNormalizedInput("the squared amplitude moduli must sum to 1")
 
 
 # --- qutrit encoder ------------------------------------------------------------
@@ -258,7 +248,7 @@ def qutrit_encode(alpha: complex, beta: complex, gamma: complex) -> PureState:
     |1>|0> -> |1>|2> and |2>|0> -> |2>|1>; the add gates fan qutrit 2's value
     onto qutrits 1 and 0.
     """
-    _check_qutrit_amplitudes(alpha, beta, gamma)
+    _check_amplitudes(alpha, beta, gamma)
     state = product_state(
         [
             (3, np.array([alpha, beta, gamma])),
@@ -266,9 +256,9 @@ def qutrit_encode(alpha: complex, beta: complex, gamma: complex) -> PureState:
             (3, np.array([1.0, 1.0, 1.0]) / math.sqrt(3)),
         ]
     )
-    state = apply_unitary(state, qutrit_subtract_gate(), [0, 1])
-    state = apply_unitary(state, qutrit_add_gate(), [2, 1])
-    state = apply_unitary(state, qutrit_add_gate(), [2, 0])
+    state = apply_unitary(state, qutrit_shift_gate(-1), [0, 1])
+    state = apply_unitary(state, qutrit_shift_gate(1), [2, 1])
+    state = apply_unitary(state, qutrit_shift_gate(1), [2, 0])
     return state
 
 
@@ -287,15 +277,12 @@ def _controlled_increment(control: int, x: int, y: int) -> list[Gate]:
 
 
 def _controlled_decrement(control: int, x: int, y: int) -> list[Gate]:
-    return [
-        Gate(X, (x,), ((control, 1), (y, 0))),
-        Gate(X, (y,), ((control, 1), (x, 1))),
-    ]
+    return _controlled_increment(control, x, y)[::-1]
 
 
-def _pair_encoder_gates(pairs: tuple[tuple[int, int], ...]) -> list[Gate]:
+def _pair_encoder_gates() -> list[Gate]:
     """The pair-level circuit: subtract pair0 from pair1, add pair2 to both."""
-    (x1, y1), (x2, y2), (x3, y3) = pairs
+    (x1, y1), (x2, y2), (x3, y3) = (0, 1), (2, 3), (4, 5)
     gates: list[Gate] = []
     # target <- target - control  (control pair 0 onto pair 1): -c = +2c
     gates += _controlled_decrement(x1, x2, y2)
@@ -308,11 +295,15 @@ def _pair_encoder_gates(pairs: tuple[tuple[int, int], ...]) -> list[Gate]:
     return gates
 
 
-def _pair_initial_state(alpha: complex, beta: complex, gamma: complex) -> PureState:
-    pair1 = np.zeros(4, dtype=complex)
-    pair1[0], pair1[2], pair1[3] = alpha, beta, gamma  # 00, 10, 11
+def _pair_input(alpha: complex, beta: complex, gamma: complex) -> PureState:
+    """Checked six-qubit input: (alpha, beta, gamma) on pair 0 as 00, 10, 11,
+    |00> on pair 1, the uniform superposition of the three words on pair 2.
+    """
+    _check_amplitudes(alpha, beta, gamma)
+    pair1 = np.array([alpha, 0, beta, gamma], dtype=complex)
     pair3 = np.array([1.0, 0.0, 1.0, 1.0], dtype=complex) / math.sqrt(3)
-    return product_state([(4, pair1), (4, np.array([1.0, 0, 0, 0])), (4, pair3)])
+    init = product_state([(4, pair1), (4, np.array([1.0, 0, 0, 0])), (4, pair3)])
+    return PureState((2,) * 6, init.amplitudes)
 
 
 def six_photon_encode(alpha: complex, beta: complex, gamma: complex) -> PureState:
@@ -321,11 +312,7 @@ def six_photon_encode(alpha: complex, beta: complex, gamma: complex) -> PureStat
     Output matches :func:`logical_pair_state`: e.g. (1,0,0) encodes to
     (|HHHHHH> + |VHVHVH> + |VVVVVV>)/sqrt(3).
     """
-    _check_qutrit_amplitudes(alpha, beta, gamma)
-    init = _pair_initial_state(alpha, beta, gamma)
-    state = PureState((2,) * 6, init.amplitudes)
-    pairs = ((0, 1), (2, 3), (4, 5))
-    return run(state, _pair_encoder_gates(pairs))
+    return run(_pair_input(alpha, beta, gamma), _pair_encoder_gates())
 
 
 # --- initial-state preparation circuits ----------------------------------------
@@ -338,8 +325,7 @@ def prepare_two_qubit_qutrit(alpha: complex, beta: complex, theta: float) -> Pur
     the gate sequence rather than direct assignment: entangle with a CNOT,
     rotate the second qubit on the first qubit's |1> branch, then swap.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise NonNormalizedInput("|alpha|^2 + |beta|^2 must be 1")
+    _check_amplitudes(alpha, beta)
     state = product_state([(2, np.array([alpha, beta])), (2, np.array([1.0, 0.0]))])
     state = apply_unitary(state, X, [1], controls=[(0, 1)])
     state = apply_unitary(state, branch_rotation(theta), [1], controls=[(0, 1)])
@@ -355,8 +341,7 @@ def prepare_multiplexed_qutrit(alpha: complex, beta: complex, theta: float) -> P
     H_L <-> V_S recombines the modes, leaving
     alpha|H_S> + beta cos(theta)|V_S> + beta sin(theta)|V_L>.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise NonNormalizedInput("|alpha|^2 + |beta|^2 must be 1")
+    _check_amplitudes(alpha, beta)
     state = product_state([(2, np.array([alpha, beta])), (2, np.array([1.0, 0.0]))])
     state = apply_unitary(state, X, [1], controls=[(0, 1)])
     state = apply_unitary(state, branch_rotation(theta), [0], controls=[(1, 1)])
@@ -369,12 +354,7 @@ def prepare_multiplexed_qutrit(alpha: complex, beta: complex, theta: float) -> P
 
 def _native_cnot16() -> np.ndarray:
     """CNOT from pol_1 onto pol_2 on two full photons (qubits pol1,tb1,pol2,tb2)."""
-    m = np.zeros((16, 16), dtype=complex)
-    for idx in range(16):
-        p1, t1, p2, t2 = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        q2 = p2 ^ p1
-        m[(p1 << 3) | (t1 << 2) | (q2 << 1) | t2, idx] = 1.0
-    return m
+    return permutation_matrix(16, lambda idx: idx ^ 0b0010 if idx & 0b1000 else idx)
 
 
 def ideal_cnot16(control_dof: str, target_dof: str) -> np.ndarray:
@@ -382,11 +362,7 @@ def ideal_cnot16(control_dof: str, target_dof: str) -> np.ndarray:
     pos = {"pol1": 3, "tb1": 2, "pol2": 1, "tb2": 0}
     c = pos[f"{control_dof}1"]
     t = pos[f"{target_dof}2"]
-    m = np.zeros((16, 16), dtype=complex)
-    for idx in range(16):
-        out = idx ^ (1 << t) if idx >> c & 1 else idx
-        m[out, idx] = 1.0
-    return m
+    return permutation_matrix(16, lambda idx: idx ^ (1 << t) if idx >> c & 1 else idx)
 
 
 def table_cnot(control_dof: str, target_dof: str) -> Gate:
@@ -414,17 +390,12 @@ def ideal_toffoli(
     dim: int, controls: Sequence[tuple[int, int]], target: int
 ) -> np.ndarray:
     """Toffoli truth table on ``dim`` qubits: flip target iff controls match."""
-    size = 1 << dim
-    m = np.zeros((size, size), dtype=complex)
-    for idx in range(size):
-        bits = [(idx >> (dim - 1 - j)) & 1 for j in range(dim)]
-        if all(bits[c] == v for c, v in controls):
-            bits[target] ^= 1
-        out = 0
-        for b in bits:
-            out = (out << 1) | b
-        m[out, idx] = 1.0
-    return m
+
+    def image(idx: int) -> int:
+        hit = all((idx >> (dim - 1 - c)) & 1 == v for c, v in controls)
+        return idx ^ (1 << (dim - 1 - target)) if hit else idx
+
+    return permutation_matrix(1 << dim, image)
 
 
 def toffoli_mode_split() -> Gate:
@@ -435,11 +406,8 @@ def toffoli_mode_split() -> Gate:
     Modeled as P_L (x) CNOT + P_S (x) I on qubit order (pol1, pol2, tb2); the
     result equals the Toffoli with controls (pol2=1, tb2=1) and target pol1.
     """
-    cnot = np.zeros((4, 4), dtype=complex)  # control pol2, target pol1
-    for idx in range(4):
-        a, b = idx >> 1, idx & 1  # a = pol1, b = pol2
-        m_a = a ^ b
-        cnot[(m_a << 1) | b, idx] = 1.0
+    # control pol2 (low bit), target pol1 (high bit)
+    cnot = permutation_matrix(4, lambda idx: idx ^ 0b10 if idx & 0b01 else idx)
     p_late = np.diag([0.0, 1.0]).astype(complex)
     p_short = np.diag([1.0, 0.0]).astype(complex)
     composite = np.kron(cnot, p_late) + np.kron(np.eye(4), p_short)
@@ -479,11 +447,9 @@ def shared_photon_toffoli(
 
     # canonical split CNOT on (pol_A, tb_A, pol_B, tb_B): CNOT(pol_A -> pol_B)
     # applied on the tb_B = L branch only.
-    canonical = np.zeros((16, 16), dtype=complex)
-    for idx in range(16):
-        pa, ta, pb, tb = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        out_pb = pb ^ (pa & tb)
-        canonical[(pa << 3) | (ta << 2) | (out_pb << 1) | tb, idx] = 1.0
+    canonical = permutation_matrix(
+        16, lambda idx: idx ^ 0b0010 if idx & 0b1001 == 0b1001 else idx
+    )
 
     conj = np.kron(ra, rb)
     composite = conj.conj().T @ canonical @ conj
@@ -510,11 +476,8 @@ def multiplexed_encode(alpha: complex, beta: complex, gamma: complex) -> PureSta
     output must match the six-photon encoding under the identification
     (pol_i, tb_i) = (qubit 2i, qubit 2i+1).
     """
-    _check_qutrit_amplitudes(alpha, beta, gamma)
-    init = _pair_initial_state(alpha, beta, gamma)
-    state = PureState((2,) * 6, init.amplitudes)
-    pairs = ((0, 1), (2, 3), (4, 5))
-    for gate in _pair_encoder_gates(pairs):
+    state = _pair_input(alpha, beta, gamma)
+    for gate in _pair_encoder_gates():
         (control, _), (b_qubit, b_value) = gate.controls
         target = gate.targets[0]
         composite = shared_photon_toffoli(
@@ -527,34 +490,35 @@ def multiplexed_encode(alpha: complex, beta: complex, gamma: complex) -> PureSta
 
 # --- verification suite ---------------------------------------------------------
 
+FIDELITY_LOSS = "1 - fidelity"
+OPERATOR_ERROR = "operator error"
+
+
+def _check(name: str, worst: float, metric: str) -> dict:
+    """One report entry; a fidelity-loss entry also carries ``worst_fidelity``."""
+    entry = {"name": name, "passed": worst <= UNITARY_TOL, "worst_error": worst, "metric": metric}
+    if metric == FIDELITY_LOSS:
+        entry["worst_fidelity"] = 1.0 - worst
+    return entry
+
 
 def _codeword_checks() -> list[dict]:
+    cases = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        cases.append(tuple(v))
     checks = []
-    for name, encoder, oracle, radices in (
-        ("qutrit-encoder", qutrit_encode, logical_qutrit_state, (3, 3, 3)),
-        ("six-photon-encoder", six_photon_encode, logical_pair_state, (2,) * 6),
-        ("multiplexed-encoder", multiplexed_encode, logical_pair_state, (2,) * 6),
+    for name, encoder, oracle in (
+        ("qutrit-encoder", qutrit_encode, logical_qutrit_state),
+        ("six-photon-encoder", six_photon_encode, logical_pair_state),
+        ("multiplexed-encoder", multiplexed_encode, logical_pair_state),
     ):
         worst = 0.0
-        cases = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            cases.append(tuple(v))
         for a, b, g in cases:
-            got = encoder(a, b, g)
-            want = oracle(a, b, g)
-            worst = max(worst, 1.0 - got.fidelity(want))
-        checks.append(
-            {
-                "name": name,
-                "passed": worst <= UNITARY_TOL,
-                "worst_error": worst,
-                "worst_fidelity": 1.0 - worst,
-                "metric": "1 - fidelity",
-            }
-        )
+            worst = max(worst, 1.0 - encoder(a, b, g).fidelity(oracle(a, b, g)))
+        checks.append(_check(name, worst, FIDELITY_LOSS))
     return checks
 
 
@@ -565,21 +529,13 @@ def _preparation_check() -> dict:
         for _ in range(3):
             a = rng.uniform(0.1, 0.9)
             b = math.sqrt(1 - a * a)
-            got = prepare_two_qubit_qutrit(a, b, theta)
-            want = np.zeros(4, dtype=complex)
-            want[0], want[1], want[3] = a, b * math.cos(theta), b * math.sin(theta)
-            worst = max(worst, 1.0 - got.fidelity(PureState((2, 2), want)))
-            got_m = prepare_multiplexed_qutrit(a, b, theta)
-            want_m = np.zeros(4, dtype=complex)
-            want_m[0], want_m[2], want_m[3] = a, b * math.cos(theta), b * math.sin(theta)
-            worst = max(worst, 1.0 - got_m.fidelity(PureState((2, 2), want_m)))
-    return {
-        "name": "qutrit-preparation",
-        "passed": worst <= UNITARY_TOL,
-        "worst_error": worst,
-        "worst_fidelity": 1.0 - worst,
-        "metric": "1 - fidelity",
-    }
+            # want a|00> + b cos(theta)|x> + b sin(theta)|11>, x = 01 or V_S = 10
+            for prepare, x in ((prepare_two_qubit_qutrit, 1), (prepare_multiplexed_qutrit, 2)):
+                want = np.zeros(4, dtype=complex)
+                want[0], want[x], want[3] = a, b * math.cos(theta), b * math.sin(theta)
+                got = prepare(a, b, theta)
+                worst = max(worst, 1.0 - got.fidelity(PureState((2, 2), want)))
+    return _check("qutrit-preparation", worst, FIDELITY_LOSS)
 
 
 def _cross_dof_cnot_check() -> dict:
@@ -591,26 +547,13 @@ def _cross_dof_cnot_check() -> dict:
             worst = max(worst, float(np.max(np.abs(got - want))))
             twice = got @ got
             worst = max(worst, float(np.max(np.abs(twice - np.eye(16)))))
-    return {
-        "name": "cross-dof-cnot",
-        "passed": worst <= UNITARY_TOL,
-        "worst_error": worst,
-        "metric": "operator error",
-    }
+    return _check("cross-dof-cnot", worst, OPERATOR_ERROR)
 
 
 def _toffoli_checks() -> list[dict]:
     got = toffoli_mode_split().matrix
     want = ideal_toffoli(3, controls=[(1, 1), (2, 1)], target=0)
     err = float(np.max(np.abs(got - want)))
-    out = [
-        {
-            "name": "branch-toffoli",
-            "passed": err <= UNITARY_TOL,
-            "worst_error": err,
-            "metric": "operator error",
-        }
-    ]
     worst = 0.0
     for a_dof in ("pol", "tb"):
         for b_dof, t_dof in (("pol", "tb"), ("tb", "pol")):
@@ -619,15 +562,10 @@ def _toffoli_checks() -> list[dict]:
                     shared_photon_toffoli(a_dof, (b_dof, v), t_dof)
                 except AssertionError:
                     worst = 1.0
-    out.append(
-        {
-            "name": "shared-photon-toffoli",
-            "passed": worst <= UNITARY_TOL,
-            "worst_error": worst,
-            "metric": "operator error",
-        }
-    )
-    return out
+    return [
+        _check("branch-toffoli", err, OPERATOR_ERROR),
+        _check("shared-photon-toffoli", worst, OPERATOR_ERROR),
+    ]
 
 
 def verification_report() -> dict:

@@ -1,11 +1,11 @@
 """Command-line interface: success evaluation, curve sweeps, allocation, circuit checks.
 
-Exit codes: 0 success, 2 validation error (a malformed or invalid
-configuration or allocation document, a sweep's grid or target outside
-[0, 1], or a sweep with no layout chosen), 3 fully infeasible
-sweep, 4 infeasible allocation, 5 circuit verification failure.  All output
-is deterministic for fixed flags: fixed float formatting, fixed ordering,
-seeded sampling.
+Exit codes: 0 success, 2 validation error (a missing, unreadable,
+malformed or invalid configuration or allocation document, a sweep's grid
+or target outside [0, 1], or a sweep with no layout chosen), 3 fully
+infeasible sweep, 4 infeasible allocation, 5 circuit verification failure.
+All output is deterministic for fixed flags: fixed float formatting, fixed
+ordering, seeded sampling.
 """
 
 from __future__ import annotations
@@ -40,21 +40,35 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _describe(exc: Exception) -> str:
-    """One line for a malformed document: a missing key or a bad value."""
+    """One line for a malformed document: a missing key, a wrong shape or a bad value."""
     if isinstance(exc, KeyError):
         return f"missing key {exc.args[0]!r}"
+    if isinstance(exc, TypeError):
+        return f"malformed document ({exc})"
     return str(exc)
 
 
-def cmd_success(args) -> int:
+def _read_document(path: str, load, prefix: str):
+    """``load(path)``, or ``None`` once bad input is reported on stderr.
+
+    Bad input is an unreadable file, text that is not JSON, a document of
+    the wrong shape (a missing key, a list for an object) or an invalid
+    value; an ``InvalidConfiguration`` reports each violation on its own
+    line.
+    """
     try:
-        config = validate(load_config(args.config))
+        return load(path)
     except InvalidConfiguration as exc:
         for v in exc.violations:
             print(f"invalid: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (KeyError, ValueError) as exc:
-        print(f"invalid: {_describe(exc)}", file=sys.stderr)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"{prefix}: {_describe(exc)}", file=sys.stderr)
+    return None
+
+
+def cmd_success(args) -> int:
+    config = _read_document(args.config, lambda path: validate(load_config(path)), "invalid")
+    if config is None:
         return EXIT_VALIDATION
     exact = success_probability(config)
     print(f"success_probability {exact:.15g}")
@@ -103,24 +117,30 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_allocate(args) -> int:
-    with open(args.problem, "r", encoding="utf-8") as fh:
+def _load_problem(path: str) -> planner.AllocationProblem:
+    with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    return planner.AllocationProblem(
+        channels=tuple(
+            planner.ChannelSpec(str(c["id"]), float(c["p"]), int(c["capacity"]))
+            for c in doc["channels"]
+        ),
+        codes=tuple(QrsCode(int(c["d"]), int(c["k"])) for c in doc["codes"]),
+        q=int(doc.get("q", 1)),
+    )
+
+
+def cmd_allocate(args) -> int:
+    problem = _read_document(args.problem, _load_problem, "allocate")
+    if problem is None:
+        return EXIT_VALIDATION
     try:
-        problem = planner.AllocationProblem(
-            channels=tuple(
-                planner.ChannelSpec(str(c["id"]), float(c["p"]), int(c["capacity"]))
-                for c in doc["channels"]
-            ),
-            codes=tuple(QrsCode(int(c["d"]), int(c["k"])) for c in doc["codes"]),
-            q=int(doc.get("q", 1)),
-        )
         result = planner.allocate(problem, args.target)
     except planner.Infeasible:
         print("allocate: no feasible allocation", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (KeyError, ValueError) as exc:
-        print(f"allocate: {_describe(exc)}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"allocate: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = result.summary(problem)
     out["single_channel_solutions"] = [

@@ -170,12 +170,6 @@ class MultiplexConfiguration:
     def transmitted(self) -> int:
         return self.code.d - self.withheld
 
-    def channel_probability(self, channel_id: str) -> float:
-        for ch in self.channels:
-            if ch.id == channel_id:
-                return ch.p
-        raise KeyError(channel_id)
-
     def photon_probabilities(self) -> list[float]:
         """Arrival probability per photon, in photon order."""
         by_id = {ch.id: ch.p for ch in self.channels}

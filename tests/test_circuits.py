@@ -66,25 +66,51 @@ def test_encoding_is_isometry():
         assert eu.fidelity(ev) == pytest.approx(inner, abs=1e-10)
 
 
-def test_prepare_two_qubit_qutrit_special_angles():
+# Each preparation with the basis index of its cos(theta) term: the
+# two-photon one gives a|00> + b cos|01> + b sin|11>, the multiplexed one
+# a|H_S> + b cos|V_S> + b sin|V_L> with H_S = 00, V_S = 10, V_L = 11.
+PREPARATIONS = pytest.mark.parametrize(
+    "prepare,cos_index",
+    [(qc.prepare_two_qubit_qutrit, 1), (qc.prepare_multiplexed_qutrit, 2)],
+    ids=["two-qubit", "multiplexed"],
+)
+
+
+@PREPARATIONS
+def test_prepare_qutrit_special_angles(prepare, cos_index):
     a, b = 0.6, 0.8
-    got = qc.prepare_two_qubit_qutrit(a, b, 0.0)
-    want = np.array([a, b, 0, 0], dtype=complex)  # a|00> + b|01>
+    got = prepare(a, b, 0.0)
+    want = np.zeros(4, dtype=complex)
+    want[0], want[cos_index] = a, b  # theta = 0: only the cos term
     assert got.fidelity(qc.PureState((2, 2), want)) >= 1 - 1e-10
 
-    got = qc.prepare_two_qubit_qutrit(a, b, math.pi / 2)
+    got = prepare(a, b, math.pi / 2)
     want = np.array([a, 0, 0, b], dtype=complex)  # a|00> + b|11>
     assert got.fidelity(qc.PureState((2, 2), want)) >= 1 - 1e-10
 
     s = 1 / math.sqrt(2)
-    got = qc.prepare_two_qubit_qutrit(s, s, math.pi / 4)
-    want = np.array([s, 0.5, 0, 0.5], dtype=complex)
+    got = prepare(s, s, math.pi / 4)
+    want = np.array([s, 0, 0, 0.5], dtype=complex)
+    want[cos_index] = 0.5
     assert np.allclose(got.amplitudes, want, atol=1e-10)
 
 
-def test_prepare_two_qubit_qutrit_rejects_non_normalized():
+@PREPARATIONS
+def test_prepare_qutrit_rejects_non_normalized(prepare, cos_index):
     with pytest.raises(qc.NonNormalizedInput):
-        qc.prepare_two_qubit_qutrit(0.9, 0.9, 0.1)
+        prepare(0.9, 0.9, 0.1)
+
+
+@pytest.mark.parametrize("c", range(3))
+@pytest.mark.parametrize("t", range(3))
+def test_qutrit_shift_gate_adds_control(c, t):
+    out = qc.apply_unitary(qc.basis_state((3, 3), (c, t)), qc.qutrit_shift_gate(1), [0, 1])
+    assert out.fidelity(qc.basis_state((3, 3), (c, (t + c) % 3))) == pytest.approx(1, abs=1e-12)
+
+
+def test_qutrit_shift_gate_minus_is_inverse():
+    product = qc.qutrit_shift_gate(-1) @ qc.qutrit_shift_gate(1)
+    assert np.array_equal(product, np.eye(9))
 
 
 def test_six_photon_codewords():
@@ -215,3 +241,14 @@ def test_verification_report_all_green():
         "shared-photon-toffoli",
     }
     assert all(c["worst_error"] <= 1e-10 for c in report["checks"])
+    fidelity_checks = {
+        "qutrit-encoder", "six-photon-encoder", "multiplexed-encoder", "qutrit-preparation"
+    }
+    base = {"name", "passed", "worst_error", "metric"}
+    for c in report["checks"]:
+        if c["name"] in fidelity_checks:
+            assert set(c) == base | {"worst_fidelity"}
+            assert c["metric"] == "1 - fidelity"
+        else:
+            assert set(c) == base
+            assert c["metric"] == "operator error"

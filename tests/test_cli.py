@@ -210,6 +210,27 @@ def test_allocate_missing_key_exit_2(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["success", "allocate"])
+@pytest.mark.parametrize(
+    "content,named",
+    [
+        (None, "No such file"),
+        ("not json", "Expecting value"),
+        ("[1, 2]", "malformed document"),
+    ],
+    ids=["missing-file", "not-json", "json-list"],
+)
+def test_unreadable_document_exit_2(tmp_path, command, content, named):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_text(content)
+    result = run_cli([command, str(path)])
+    assert result.returncode == 2
+    assert named in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_circuits_green(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli(["verify-circuits", "--out", str(out)])
