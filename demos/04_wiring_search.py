@@ -21,7 +21,7 @@ from qnetagg import success_probability, ps15
 classes = enumerate_wiring_classes()
 print(f"{len(classes)} wiring classes with 7 shared photons on 11 qudits\n")
 
-result = search_shared_photon_wiring(pairs=50)
+result = search_shared_photon_wiring()
 print(f"search over {result.candidates_tested} classes: "
       f"{'match found' if result.found else 'no exact match'}")
 print(f"closest class: {result.best}")

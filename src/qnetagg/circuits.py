@@ -139,7 +139,6 @@ class Gate:
     matrix: np.ndarray
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
-    name: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", assert_unitary(self.matrix))
@@ -383,7 +382,7 @@ def table_cnot(control_dof: str, target_dof: str) -> Gate:
     if control_dof == "tb":
         wa = np.kron(SWAP_HL_VS, eye4)
         m = wa @ m @ wa
-    return Gate(m, targets=(0, 1, 2, 3), name=f"cnot[{control_dof}1->{target_dof}2]")
+    return Gate(m, targets=(0, 1, 2, 3))
 
 
 def ideal_toffoli(
@@ -411,7 +410,7 @@ def toffoli_mode_split() -> Gate:
     p_late = np.diag([0.0, 1.0]).astype(complex)
     p_short = np.diag([1.0, 0.0]).astype(complex)
     composite = np.kron(cnot, p_late) + np.kron(np.eye(4), p_short)
-    return Gate(composite, targets=(0, 1, 2), name="toffoli[pol2,tb2=L -> pol1]")
+    return Gate(composite, targets=(0, 1, 2))
 
 
 def _dof(qubit: int) -> str:

@@ -1,9 +1,10 @@
 """Command-line interface: success evaluation, curve sweeps, allocation, circuit checks.
 
 Exit codes: 0 success, 2 validation error (a missing, unreadable,
-malformed or invalid configuration or allocation document, a sweep's grid
-or target outside [0, 1], or a sweep with no layout chosen), 3 fully
-infeasible sweep, 4 infeasible allocation, 5 circuit verification failure.
+malformed or invalid configuration or allocation document, a negative
+``--mc``, an invalid sweep code, a sweep's grid or target outside [0, 1],
+or a sweep with no layout chosen), 3 fully infeasible sweep, 4 infeasible
+allocation, 5 circuit verification failure.
 All output is deterministic for fixed flags: fixed float formatting, fixed
 ordering, seeded sampling.
 """
@@ -67,6 +68,9 @@ def _read_document(path: str, load, prefix: str):
 
 
 def cmd_success(args) -> int:
+    if args.mc < 0:
+        print(f"success: --mc {args.mc} is negative", file=sys.stderr)
+        return EXIT_VALIDATION
     config = _read_document(args.config, lambda path: validate(load_config(path)), "invalid")
     if config is None:
         return EXIT_VALIDATION
@@ -108,12 +112,12 @@ def cmd_sweep(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             curve.to_csv(fh)
-        if args.summary:
-            with open(args.summary, "w", encoding="utf-8") as fh:
-                json.dump(curve.summary(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
     else:
         curve.to_csv(sys.stdout)
+    if args.summary:
+        with open(args.summary, "w", encoding="utf-8") as fh:
+            json.dump(curve.summary(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return EXIT_OK
 
 
@@ -196,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=planner.DEFAULT_TARGET)
     p.add_argument("--grid", type=_parse_grid, default=planner.grid_points(*planner.DEFAULT_GRID))
     p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.add_argument("--summary", help="JSON summary path (with --out)")
+    p.add_argument("--summary", help="JSON summary path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("allocate", help="minimal feasible code/channel allocation")

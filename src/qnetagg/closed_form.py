@@ -10,17 +10,17 @@ keeps the arithmetic exact, which the tests use to bound the
 double-precision roundoff.  The module is independent of :mod:`engine`, so
 the two check each other.
 
-``ps6`` and ``ps15`` also take numpy arrays of probabilities and check
-them elementwise.  Every return value is checked to lie in [0, 1] within
-1e-12 and clamped.
+``ps6`` and ``ps15`` also take numpy arrays of probabilities.  Inputs and
+results follow the probability rule of :mod:`model`: every probability
+argument passes :func:`~qnetagg.model.check_probability` and every return
+value :func:`~qnetagg.model.clamp_roundoff`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, exp, log
 
-from .model import QrsCode, photons_per_qudit
+from .model import QrsCode, check_probability, clamp_roundoff, photons_per_qudit
 
 
 class WithheldExceedsTolerance(ValueError):
@@ -29,32 +29,6 @@ class WithheldExceedsTolerance(ValueError):
 
 class ToleranceMismatch(ValueError):
     """Two-channel closed form requires a single-logical-qudit code (2k - d = 1)."""
-
-
-_RANGE_TOL = 1e-12
-
-
-def _between(value, lo, hi) -> bool:
-    """lo <= value <= hi for a number, or for every entry of a numpy array."""
-    if isinstance(value, (float, int, Fraction)):
-        return lo <= value <= hi
-    return bool(((lo <= value) & (value <= hi)).all())
-
-
-def _checked(value):
-    """Assert value is a probability up to roundoff; clamp floats into [0, 1]."""
-    if not _between(value, -_RANGE_TOL, 1 + _RANGE_TOL):
-        raise ArithmeticError(f"probability {value!r} outside [0, 1] beyond roundoff")
-    if isinstance(value, float):
-        return min(max(value, 0.0), 1.0)
-    if hasattr(value, "clip"):
-        return value.clip(0.0, 1.0)
-    return value
-
-
-def _check_p(p) -> None:
-    if not _between(p, 0, 1):
-        raise ValueError(f"probability {p} outside [0, 1]")
 
 
 def qudit_survival(code: QrsCode, q: int, p):
@@ -94,9 +68,9 @@ def ps_single(code: QrsCode, q: int, p):
 
     sum_{j=0}^{d-k} C(d, j) P^(d-j) (1-P)^j  with  P = p^ceil(log2(d)/q).
     """
-    _check_p(p)
+    check_probability("p", p)
     P = qudit_survival(code, q, p)
-    return _checked(sum(_binomial_terms(code.d, P, code.tolerance())))
+    return clamp_roundoff(sum(_binomial_terms(code.d, P, code.tolerance())))
 
 
 def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
@@ -105,7 +79,7 @@ def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
     The withheld qudits consume tolerance up front:
     sum_{j=0}^{d-k-l} C(d-l, j) P^(d-l-j) (1-P)^j.
     """
-    _check_p(p)
+    check_probability("p", p)
     if withheld < 0:
         raise ValueError("withheld must be non-negative")
     if withheld > code.tolerance():
@@ -114,7 +88,7 @@ def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
         )
     P = qudit_survival(code, q, p)
     terms = _binomial_terms(code.d - withheld, P, code.tolerance() - withheld)
-    return _checked(sum(terms))
+    return clamp_roundoff(sum(terms))
 
 
 def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
@@ -127,8 +101,8 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
     logical qudit (2k - d = 1); other codes are rejected.  Terms whose loss
     count exceeds a block size are zero and skipped.
     """
-    _check_p(p_a)
-    _check_p(p_b)
+    check_probability("p_a", p_a)
+    check_probability("p_b", p_b)
     if code.logical_qudits() != 1:
         raise ToleranceMismatch(f"2k-d={code.logical_qudits()}, need exactly 1")
     d = code.d
@@ -143,7 +117,7 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
         for j in range(i + 1)
         if i - j <= n and j <= d - n
     )
-    return _checked(total)
+    return clamp_roundoff(total)
 
 
 def ps6(p1, p2):
@@ -154,8 +128,8 @@ def ps6(p1, p2):
     photons.  Seven monomials: every photon-loss pattern that erases at most
     three qudits.
     """
-    _check_p(p1)
-    _check_p(p2)
+    check_probability("p1", p1)
+    check_probability("p2", p2)
     w1, w2 = 1 - p1, 1 - p2
     total = (
         p1**3 * p2**3
@@ -166,7 +140,7 @@ def ps6(p1, p2):
         + comb(3, 2) * p2**3 * w1**2 * p1
         + p2**3 * w1**3
     )
-    return _checked(total)
+    return clamp_roundoff(total)
 
 
 # Survivor-count corrections of the 15-photon polynomial: of the C(7,3)
@@ -192,8 +166,8 @@ def ps15(p1, p2):
     two-losses-in-one-channel terms carry the squared loss factor their
     survivor exponents imply.
     """
-    _check_p(p1)
-    _check_p(p2)
+    check_probability("p1", p1)
+    check_probability("p2", p2)
     w1, w2 = 1 - p1, 1 - p2
     total = (
         p1**8 * p2**7
@@ -212,4 +186,4 @@ def ps15(p1, p2):
         + _C15_31 * p2**4 * w2**3 * w1 * p1**7
         + comb(8, 5) * p2**7 * w1**5 * p1**3
     )
-    return _checked(total)
+    return clamp_roundoff(total)

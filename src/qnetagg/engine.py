@@ -23,6 +23,9 @@ survival, each block's loss count is binomial, and the binomial pmf is
 computed in log space from a cached row of log C(n, i), so it stays finite
 at any d.  Survivals may be numpy arrays, which lets the planner evaluate a
 whole grid of channel qualities in one call.
+
+Probabilities follow the rule in :mod:`model`: :func:`block_success` checks
+its survivals, and every result passes :func:`~qnetagg.model.clamp_roundoff`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import comb, log
 
 import numpy as np
 
-from .model import MultiplexConfiguration, QrsCode, validate
+from .model import MultiplexConfiguration, QrsCode, check_probability, clamp_roundoff, validate
 
 CLUSTER_STATE_BITS = 16
 BRUTE_FORCE_PHOTON_LIMIT = 20
@@ -83,10 +86,6 @@ class LossDistribution:
             raise ArithmeticError("negative pmf entry beyond roundoff")
         if abs(total - 1) > tol:
             raise ArithmeticError(f"pmf sums to {total}, not 1")
-
-
-def _is_exact(probs) -> bool:
-    return any(isinstance(p, Fraction) for p in probs)
 
 
 def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
@@ -200,10 +199,7 @@ def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
 def success_probability(config: MultiplexConfiguration):
     """P(total erased qudits <= d - k), exact up to double-precision roundoff."""
     dist = loss_distribution(config)
-    value = dist.probability_at_most(config.code.tolerance())
-    if isinstance(value, float):
-        return min(max(value, 0.0), 1.0)
-    return value
+    return clamp_roundoff(dist.probability_at_most(config.code.tolerance()))
 
 
 def brute_force(config: MultiplexConfiguration):
@@ -220,9 +216,7 @@ def brute_force(config: MultiplexConfiguration):
         )
     probs = config.photon_probabilities()
     budget = config.code.tolerance() - config.withheld
-    if budget < 0:
-        return 0.0
-    exact = _is_exact(probs)
+    exact = any(isinstance(p, Fraction) for p in probs)
     masks = [0] * config.transmitted
     for i, ph in enumerate(config.photons):
         for q in ph.qudits:
@@ -240,7 +234,7 @@ def brute_force(config: MultiplexConfiguration):
             m_u = np.uint64(mask)
             lost += ((patterns & m_u) != m_u).astype(np.int64)
         total += weights[lost <= budget].sum()
-    return total if exact else min(max(float(total), 0.0), 1.0)
+    return clamp_roundoff(total if exact else float(total))
 
 
 # --- fast path for block-uniform layouts --------------------------------------
@@ -270,8 +264,12 @@ def binomial_pmf(n: int, loss_probability) -> np.ndarray:
     ``loss_probability`` is a float or an array of them; the last axis of
     the result holds 0..n losses.  Each term is exp(log C(n, i) + i log q +
     (n - i) log(1 - q)), so none overflows at any n.  At q = 0 or 1 the one
-    factor 0 * log(0) is taken as 0, which makes the pmf exact there.
+    factor 0 * log(0) is taken as 0, which makes the pmf exact there.  A
+    Fraction gives an exact object array.
     """
+    if isinstance(loss_probability, Fraction):
+        q = loss_probability
+        return np.array([comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)])
     log_comb, i, rest = _log_comb_row(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.multiply.outer(np.log(loss_probability), i)
@@ -284,13 +282,21 @@ def binomial_pmf(n: int, loss_probability) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _scalar_binomial_pmf(n: int, loss_probability: float) -> np.ndarray:
-    """Read-only :func:`binomial_pmf` for one float, kept for the allocation
-    search, which evaluates the same few (count, channel) blocks thousands
-    of times."""
-    pmf = binomial_pmf(n, loss_probability)
+def _scalar_block_pmf(n: int, survival: float) -> np.ndarray:
+    """Read-only loss pmf of n qudits of one float survival, kept for the
+    allocation search, which evaluates the same few (count, channel) blocks
+    thousands of times; ``survival`` is checked on a cache miss only."""
+    check_probability("survival", survival)
+    pmf = binomial_pmf(n, 1.0 - survival)
     pmf.setflags(write=False)
     return pmf
+
+
+def _block_pmf(n: int, survival) -> np.ndarray:
+    if isinstance(survival, float):
+        return _scalar_block_pmf(n, survival)
+    check_probability("survival", survival)
+    return binomial_pmf(n, 1 - survival)
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,7 +312,7 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_success(code: QrsCode, blocks, withheld: int = 0):
+def block_success(code: QrsCode, blocks):
     """Success probability when qudits fail independently in blocks.
 
     ``blocks`` is a sequence of ``(count, per_qudit_survival)`` pairs.  This
@@ -316,30 +322,15 @@ def block_success(code: QrsCode, blocks, withheld: int = 0):
     Survivals may be floats or numpy arrays of one shape (they broadcast);
     the result is then a float or an array of that shape.  The tail is
     sum_i pmf_last[i] * CDF_rest[budget - i], where ``rest`` convolves every
-    block but the last.  Fraction survivals give an exact Fraction.
+    block but the last.  Fraction survivals give an exact Fraction.  Raises
+    ``ValueError`` for a survival outside [0, 1] or a code with k > d.
     """
-    blocks = [(count, P) for count, P in blocks if count]
-    budget = code.tolerance() - withheld
+    budget = code.tolerance()
     if budget < 0:
-        shape = np.broadcast_shapes(*(np.shape(P) for _, P in blocks))
-        return np.zeros(shape) if shape else 0.0
-    if _is_exact(P for _, P in blocks):
-        pmf = [1]
-        for count, P in blocks:
-            loss = 1 - P
-            pmf = np.convolve(
-                pmf, [comb(count, i) * loss**i * P ** (count - i) for i in range(count + 1)]
-            )
-        return sum(pmf[: budget + 1])
-    *rest_pmfs, last = [
-        (_scalar_binomial_pmf if isinstance(P, float) else binomial_pmf)(count, 1.0 - P)
-        for count, P in blocks
-    ] or [np.ones(1)]
-    rest = reduce(_convolve_rows, rest_pmfs) if rest_pmfs else np.ones(1)
+        raise ValueError(f"code d={code.d} k={code.k}: k exceeds d")
+    *rest_pmfs, last = [_block_pmf(count, P) for count, P in blocks if count] or [np.ones(1)]
+    rest = reduce(_convolve_rows, rest_pmfs) if rest_pmfs else np.ones(1, dtype=int)
     cdf = np.cumsum(rest, axis=-1)
     top = min(budget, last.shape[-1] - 1)
     index = np.minimum(budget - np.arange(top + 1), cdf.shape[-1] - 1)
-    value = (last[..., : top + 1] * cdf[..., index]).sum(axis=-1)
-    if value.ndim == 0:
-        return min(max(float(value), 0.0), 1.0)
-    return np.clip(value, 0.0, 1.0)
+    return clamp_roundoff((last[..., : top + 1] * cdf[..., index]).sum(axis=-1))

@@ -6,6 +6,9 @@ at most ``d - k`` qudits are erased.  Each qudit is physically carried by
 qudit it carries a qubit of.  A configuration records which photon carries
 which qubits and which channel each photon travels through.
 
+The probability rule of every module lives here: :func:`check_probability`
+for inputs and :func:`clamp_roundoff` for computed results.
+
 All types are immutable; instances can be shared freely between threads.
 """
 
@@ -14,6 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
+
+ROUNDOFF = 1e-12
 
 
 class SplitMismatch(ValueError):
@@ -47,6 +54,33 @@ class Violation:
         if self.subject is None:
             return f"{self.kind}: {self.message}"
         return f"{self.kind} [{self.subject}]: {self.message}"
+
+
+def _first_outside(value, lo: float, hi: float) -> tuple:
+    """``(entry,)`` for the first entry of a number or numpy array outside
+    [lo, hi] (NaN is never inside), ``()`` when every entry lies in it."""
+    if isinstance(value, np.ndarray):
+        if value.size == 0 or lo <= value.min() <= value.max() <= hi:  # NaN fails
+            return ()
+        return tuple(value[~((value >= lo) & (value <= hi))][:1])
+    return () if lo <= value <= hi else (value,)
+
+
+def check_probability(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``value``, or its first bad entry, unless a
+    number, a Fraction or every entry of a numpy array lies in [0, 1]."""
+    for bad in _first_outside(value, 0, 1):
+        raise ValueError(f"{name}={bad} outside [0, 1]")
+
+
+def clamp_roundoff(value):
+    """A computed probability: ``ArithmeticError`` more than ``ROUNDOFF``
+    outside [0, 1]; floats and arrays clamped into it, exact values unchanged."""
+    for bad in _first_outside(value, -ROUNDOFF, 1 + ROUNDOFF):
+        raise ArithmeticError(f"probability {bad} outside [0, 1] beyond roundoff")
+    if isinstance(value, np.ndarray):
+        return value.clip(0.0, 1.0)
+    return min(max(float(value), 0.0), 1.0) if isinstance(value, float) else value
 
 
 def is_prime(n: int) -> bool:
@@ -120,8 +154,7 @@ class Channel:
     p: float
 
     def __post_init__(self) -> None:
-        if not (0 <= self.p <= 1):
-            raise ValueError(f"channel {self.id!r}: p={self.p} outside [0, 1]")
+        check_probability(f"channel {self.id!r}: p", self.p)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import closed_form, engine
-from .model import QrsCode, photons_per_qudit
+from .model import QrsCode, check_probability, photons_per_qudit
 
 DEFAULT_TARGET = 0.995
 DEFAULT_GRID = (0.3, 1.0, 0.002)
@@ -63,8 +63,17 @@ class Scenario:
         return {"scenario": self.name, "photons": self.photons, "qudits": self.qudits}
 
 
+def _check_code(code: QrsCode) -> None:
+    """Raise ``ValueError`` naming the code's first violation, if any."""
+    violations = code.check()
+    if violations:
+        raise ValueError(f"code d={code.d} k={code.k}: {violations[0]}")
+
+
 def single_channel_scenario(code: QrsCode, q: int) -> Scenario:
-    """All qudits in the adjustable channel; flat in p2."""
+    """All qudits in the adjustable channel; flat in p2.  Raises
+    ``ValueError`` for an invalid code."""
+    _check_code(code)
     m = photons_per_qudit(code, q)
     return Scenario(
         name=f"single(d={code.d},k={code.k},q={q})",
@@ -75,7 +84,9 @@ def single_channel_scenario(code: QrsCode, q: int) -> Scenario:
 
 
 def two_channel_scenario(code: QrsCode, q: int, n: int) -> Scenario:
-    """n qudits in the adjustable channel, d - n in the reference channel."""
+    """n qudits in the adjustable channel, d - n in the reference channel.
+    Raises ``ValueError`` for an invalid code or ``n`` outside 0..d."""
+    _check_code(code)
     if not (0 <= n <= code.d):
         raise ValueError(f"n={n} outside 0..{code.d}")
     m = photons_per_qudit(code, q)
@@ -112,11 +123,6 @@ def shared_photon_11_scenario() -> Scenario:
     )
 
 
-def _check_probability(name: str, value) -> None:
-    if not 0 <= value <= 1:
-        raise ValueError(f"{name}={value} outside [0, 1]")
-
-
 def _bisect(
     evaluate: Callable, p2: np.ndarray, target: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +156,9 @@ def _thresholds(
     scenario: Scenario, p2_grid: Sequence[float], target: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated inputs, then :func:`_bisect` over the grid chunk by chunk."""
-    _check_probability("target", target)
-    for value in p2_grid:
-        _check_probability("p2", value)
+    check_probability("target", target)
     p2 = np.array(p2_grid, dtype=float)
+    check_probability("p2", p2)
     p1 = np.zeros_like(p2)
     feasible = np.zeros(p2.shape, dtype=bool)
     rows = max(1, _CHUNK_ENTRIES // (scenario.qudits + 1))
@@ -289,15 +294,13 @@ def _allocation_success(problem: AllocationProblem, code: QrsCode, split) -> flo
 
 def _check_problem(problem: AllocationProblem, target: float) -> None:
     """Raise ``ValueError`` naming the first entry of the problem that is invalid."""
-    _check_probability("target", target)
+    check_probability("target", target)
     for ch in problem.channels:
-        _check_probability(f"channel {ch.id!r}: p", ch.p)
+        check_probability(f"channel {ch.id!r}: p", ch.p)
         if ch.capacity < 0:
             raise ValueError(f"channel {ch.id!r}: capacity {ch.capacity} is negative")
     for code in problem.codes:
-        violations = code.check()
-        if violations:
-            raise ValueError(f"code d={code.d} k={code.k}: {violations[0]}")
+        _check_code(code)
 
 
 def allocate(problem: AllocationProblem, target: float = DEFAULT_TARGET) -> AllocationResult:

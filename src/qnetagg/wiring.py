@@ -30,6 +30,8 @@ from .model import Channel, MultiplexConfiguration, Photon, QrsCode, validate
 FAMILY_CODE = QrsCode(11, 6)
 SHARED_PHOTONS = 7  # channel-2, degree 4, spanning two qudits
 SINGLE_PHOTONS = 8  # channel-1, degree 2, half of one qudit
+PROBE_PAIRS = 50  # random (p1, p2) pairs each class is scored at
+MATCH_TOL = 1e-10  # worst deviation from ps15 that still counts as a match
 
 Component = tuple[str, int]  # ("path", edges) or ("cycle", edges)
 
@@ -39,17 +41,10 @@ def component_vertices(component: Component) -> int:
     return edges + 1 if kind == "path" else edges
 
 
-def enumerate_wiring_classes(
-    total_edges: int = SHARED_PHOTONS, max_vertices: int = FAMILY_CODE.d
-) -> list[tuple[Component, ...]]:
-    """All multisets of paths/cycles with the given edge total and vertex cap."""
-
-    def options() -> list[Component]:
-        opts = [("path", m) for m in range(1, total_edges + 1)]
-        opts += [("cycle", m) for m in range(2, total_edges + 1)]
-        return opts
-
-    opts = options()
+def enumerate_wiring_classes() -> list[tuple[Component, ...]]:
+    """All multisets of paths/cycles with SHARED_PHOTONS edges on at most 11 vertices."""
+    opts = [("path", m) for m in range(1, SHARED_PHOTONS + 1)]
+    opts += [("cycle", m) for m in range(2, SHARED_PHOTONS + 1)]
     results: list[tuple[Component, ...]] = []
 
     def recurse(start: int, edges_left: int, vertices_left: int, acc: list[Component]):
@@ -64,7 +59,7 @@ def enumerate_wiring_classes(
             recurse(i, edges_left - comp[1], vertices_left - component_vertices(comp), acc)
             acc.pop()
 
-    recurse(0, total_edges, max_vertices, [])
+    recurse(0, SHARED_PHOTONS, FAMILY_CODE.d, [])
     return results
 
 
@@ -178,17 +173,16 @@ class WiringSearchResult:
         return wiring_configuration(self.matched, p1, p2)
 
 
-def search_shared_photon_wiring(
-    pairs: int = 50, tol: float = 1e-10, seed: int = 20260810
-) -> WiringSearchResult:
+def search_shared_photon_wiring(seed: int = 20260810) -> WiringSearchResult:
     """Compare every wiring class against the reference polynomial.
 
     Each class is scored by its maximum absolute deviation from
-    :func:`ps15` over ``pairs`` seeded random probability pairs; a class
-    within ``tol`` everywhere is verified and returned as the match.
+    :func:`ps15` over ``PROBE_PAIRS`` random probability pairs drawn from
+    ``seed``; a class within ``MATCH_TOL`` everywhere is verified and
+    returned as the match.
     """
     rng = random.Random(seed)
-    probe = [(rng.uniform(0.05, 0.999), rng.uniform(0.05, 0.999)) for _ in range(pairs)]
+    probe = [(rng.uniform(0.05, 0.999), rng.uniform(0.05, 0.999)) for _ in range(PROBE_PAIRS)]
     classes = enumerate_wiring_classes()
 
     best_class: tuple[Component, ...] | None = None
@@ -201,12 +195,12 @@ def search_shared_photon_wiring(
             config = wiring_configuration(components, p1, p2)
             dev = abs(engine.success_probability(config) - ps15(p1, p2))
             worst = max(worst, dev)
-            if worst > tol and worst > best_dev:
+            if worst > MATCH_TOL and worst > best_dev:
                 break  # cannot beat the current best nor match
         if worst < best_dev:
             best_dev = worst
             best_class = components
-        if worst <= tol:
+        if worst <= MATCH_TOL:
             matched = components
             break
 

@@ -250,7 +250,7 @@ def test_criterion_10_property_suites():
 def test_note_wiring_search_reports():
     # not an acceptance criterion: the 15-photon wiring search must report
     # its outcome rather than assert a match
-    result = search_shared_photon_wiring(pairs=50)
+    result = search_shared_photon_wiring()
     print(
         f"[acceptance] note: wiring search tested {result.candidates_tested} classes, "
         f"matched={result.found}, closest={result.best} "

@@ -95,6 +95,14 @@ def test_success_mc_byte_identical(fig2b_config):
     assert a.stdout == b.stdout
 
 
+def test_success_negative_mc_exit_2(fig2b_config):
+    result = run_cli(["success", fig2b_config, "--mc", "-5"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--mc -5" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_sweep_reproduces_anchor(tmp_path):
     out = tmp_path / "curve.csv"
     summary = tmp_path / "curve.json"
@@ -138,6 +146,27 @@ def test_sweep_deterministic_output(tmp_path):
     a = run_cli(args)
     b = run_cli(args)
     assert a.stdout == b.stdout
+
+
+def test_sweep_summary_without_out(tmp_path):
+    summary = tmp_path / "s.json"
+    args = ["sweep", "--fig4a", "--grid", "0.95:1.0:0.01"]
+    plain = run_cli(args)
+    result = run_cli([*args, "--summary", str(summary)])
+    assert result.returncode == 0
+    assert result.stdout == plain.stdout
+    rows = [line for line in result.stdout.splitlines() if line and line[0] not in "#p"]
+    assert json.loads(summary.read_text())["points"] == len(rows)
+
+
+@pytest.mark.parametrize(
+    "d,k", [(43, 50), (42, 22), (43, 10)], ids=["k-above-d", "d-not-prime", "no-logical-qudit"]
+)
+def test_sweep_invalid_code_exit_2(d, k):
+    result = run_cli(["sweep", "--d", str(d), "--k", str(k), "--n", "20"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"code d={d} k={k}: " in result.stderr
 
 
 def test_sweep_without_layout_exit_2():

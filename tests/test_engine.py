@@ -369,6 +369,7 @@ def test_block_success_fraction_is_exact():
     assert value == closed_form.ps_single(code, 1, p)
     two = block_success(code, [(3, p**3), (4, Fraction(9, 10) ** 3)])
     assert isinstance(two, Fraction)
+    assert two == closed_form.ps_two_channel(code, 1, 4, p, Fraction(9, 10))
     assert two == pytest.approx(block_success(code, [(3, 0.96**3), (4, 0.9**3)]), abs=1e-15)
 
 
@@ -412,4 +413,18 @@ def test_block_success_broadcasts_a_float_block():
     assert values.shape == (11,)
     for got, x in zip(values, p1):
         assert got == pytest.approx(block_success(code, [(23, 0.99**6), (20, x**6)]), abs=1e-14)
-    assert block_success(code, [(43, p1)], withheld=22).tolist() == [0.0] * 11
+
+
+@pytest.mark.parametrize(
+    "code,blocks,named",
+    [
+        (QrsCode(7, 4), [(3, 1.5), (4, 0.9)], r"survival=1.5 outside \[0, 1\]"),
+        (QrsCode(7, 4), [(7, np.array([-0.2, 0.5]))], r"survival=-0.2 outside \[0, 1\]"),
+        (QrsCode(7, 4), [(3, 0.9), (4, np.array([0.5, np.nan]))], r"survival=nan outside"),
+        (QrsCode(5, 7), [(5, 0.9)], r"d=5 k=7: k exceeds d"),
+    ],
+    ids=["float", "negative-entry", "nan-entry", "k-above-d"],
+)
+def test_block_success_rejects_invalid_input(code, blocks, named):
+    with pytest.raises(ValueError, match=named):
+        block_success(code, blocks)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from qnetagg.model import (
@@ -7,6 +10,8 @@ from qnetagg.model import (
     Photon,
     QrsCode,
     SplitMismatch,
+    check_probability,
+    clamp_roundoff,
     config_from_dict,
     config_to_dict,
     shared7_configuration,
@@ -34,6 +39,37 @@ def test_code_derived_quantities():
                                      (211, True), (221, False), (1, False)])
 def test_is_prime(n, prime):
     assert is_prime(n) is prime
+
+
+@pytest.mark.parametrize("value", [0, 1, Fraction(1, 2), np.array([0.0, 0.5, 1.0])])
+def test_check_probability_accepts(value):
+    check_probability("p", value)
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [
+        (float("nan"), "nan"),
+        (1.0000001, "1.0000001"),
+        (-0.2, "-0.2"),
+        (np.array([0.5, np.nan, 1.5]), "nan"),
+        (np.array([[0.5, 1.5]]), "1.5"),
+    ],
+)
+def test_check_probability_rejects_and_names_the_value(value, shown):
+    with pytest.raises(ValueError, match=rf"^p={shown} outside \[0, 1\]$"):
+        check_probability("p", value)
+
+
+def test_clamp_roundoff_clamps_only_roundoff():
+    assert clamp_roundoff(1 + 1e-13) == 1.0
+    assert clamp_roundoff(-1e-13) == 0.0
+    assert clamp_roundoff(np.array([-1e-13, 0.5, 1 + 1e-13])).tolist() == [0.0, 0.5, 1.0]
+    exact = clamp_roundoff(Fraction(1, 3))
+    assert isinstance(exact, Fraction) and exact == Fraction(1, 3)
+    for bad in (1 + 1e-9, -1e-9, float("nan"), np.array([0.5, 1 + 1e-9]), Fraction(3, 2)):
+        with pytest.raises(ArithmeticError, match="beyond roundoff"):
+            clamp_roundoff(bad)
 
 
 def test_validate_accepts_uniform_multiplexed():

@@ -329,6 +329,26 @@ def test_target_outside_unit_interval_rejected(target):
         allocate(FIG2A, target=target)
 
 
+@pytest.mark.parametrize(
+    "code",
+    [QrsCode(43, 50), QrsCode(42, 22), QrsCode(43, 10)],
+    ids=["k-above-d", "d-not-prime", "no-logical-qudit"],
+)
+def test_scenarios_reject_invalid_codes(code):
+    problem = AllocationProblem((ChannelSpec("a", 0.9, 50),), (code,), 1)
+    with pytest.raises(ValueError) as expected:
+        allocate(problem)
+    assert str(expected.value).startswith(f"code d={code.d} k={code.k}: ")
+    for build in (
+        lambda: planner.single_channel_scenario(code, 1),
+        lambda: planner.two_channel_scenario(code, 1, 20),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert not isinstance(info.value, Infeasible)
+        assert str(info.value) == str(expected.value)
+
+
 def test_large_code_sweep_is_finite_and_monotone():
     code = QrsCode(2003, 1002)
     s = planner.two_channel_scenario(code, 1, 600)

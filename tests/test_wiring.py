@@ -115,7 +115,7 @@ def test_cherry_class_matches_only_the_pure_loss_terms():
 
 
 def test_search_reports_rather_than_asserts():
-    result = search_shared_photon_wiring(pairs=50, tol=1e-10)
+    result = search_shared_photon_wiring()
     assert result.candidates_tested == 40
     # the reference polynomial omits loss patterns every real wiring has
     # (e.g. non-fatal overlaps of one shared photon with four singles),
@@ -129,6 +129,6 @@ def test_search_reports_rather_than_asserts():
 
 
 def test_search_is_deterministic():
-    a = search_shared_photon_wiring(pairs=12, seed=3)
-    b = search_shared_photon_wiring(pairs=12, seed=3)
+    a = search_shared_photon_wiring(seed=3)
+    b = search_shared_photon_wiring(seed=3)
     assert a == b
