@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -427,6 +428,7 @@ _PAIR_RELABEL = {
 }
 
 
+@lru_cache(maxsize=None)
 def shared_photon_toffoli(
     control_a_dof: str, control_b: tuple[str, int], target_b_dof: str
 ) -> np.ndarray:
@@ -436,7 +438,8 @@ def shared_photon_toffoli(
     target are the two DOFs of photon B.  Free mode relabelings on each
     photon move the configuration onto the canonical split (photon B routed
     by time bin, CNOT pol_A -> pol_B on the late branch); the composite is
-    checked against the ideal Toffoli truth table at construction.
+    checked against the ideal Toffoli truth table at construction.  Each of
+    the eight cases is built once and returned read-only.
     """
     b_dof, b_value = control_b
     if {b_dof, target_b_dof} != {"pol", "tb"}:
@@ -461,6 +464,7 @@ def shared_photon_toffoli(
     )
     if np.max(np.abs(composite - expected)) > UNITARY_TOL:
         raise AssertionError("branch-split construction does not reproduce the Toffoli")
+    composite.setflags(write=False)
     return composite
 
 

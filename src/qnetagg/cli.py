@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 validation error (a missing, unreadable,
 malformed or invalid configuration or allocation document, a negative
 ``--mc``, an invalid sweep code, a sweep's grid or target outside [0, 1],
-or a sweep with no layout chosen), 3 fully infeasible sweep, 4 infeasible
-allocation, 5 circuit verification failure.
+or a sweep with no layout or more than one chosen), 3 fully infeasible
+sweep, 4 infeasible allocation, 5 circuit verification failure.
 All output is deterministic for fixed flags: fixed float formatting, fixed
 ordering, seeded sampling.
 """
@@ -187,13 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="code size (prime)")
     p.add_argument("--k", type=int, help="code parameter k")
     p.add_argument("--q", type=int, default=1, help="qubits per photon")
-    p.add_argument("--n", type=int, help="qudits in the adjustable channel")
-    p.add_argument("--single", action="store_true", help="all qudits in one channel")
-    p.add_argument(
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--n", type=int, help="qudits in the adjustable channel")
+    layout.add_argument("--single", action="store_true", help="all qudits in one channel")
+    layout.add_argument(
         "--fig4a", dest="shared7", action="store_true",
         help="6-photon/7-qudit shared-photon layout",
     )
-    p.add_argument(
+    layout.add_argument(
         "--fig4b-eq5", dest="shared15", action="store_true",
         help="15-photon/11-qudit mixed-degree layout",
     )

@@ -281,24 +281,6 @@ def binomial_pmf(n: int, loss_probability) -> np.ndarray:
     return np.exp(log_q, out=log_q)
 
 
-@lru_cache(maxsize=256)
-def _scalar_block_pmf(n: int, survival: float) -> np.ndarray:
-    """Read-only loss pmf of n qudits of one float survival, kept for the
-    allocation search, which evaluates the same few (count, channel) blocks
-    thousands of times; ``survival`` is checked on a cache miss only."""
-    check_probability("survival", survival)
-    pmf = binomial_pmf(n, 1.0 - survival)
-    pmf.setflags(write=False)
-    return pmf
-
-
-def _block_pmf(n: int, survival) -> np.ndarray:
-    if isinstance(survival, float):
-        return _scalar_block_pmf(n, survival)
-    check_probability("survival", survival)
-    return binomial_pmf(n, 1 - survival)
-
-
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Convolution along the last axis, broadcast over the leading axes."""
     if a.ndim == b.ndim == 1:
@@ -328,7 +310,9 @@ def block_success(code: QrsCode, blocks):
     budget = code.tolerance()
     if budget < 0:
         raise ValueError(f"code d={code.d} k={code.k}: k exceeds d")
-    *rest_pmfs, last = [_block_pmf(count, P) for count, P in blocks if count] or [np.ones(1)]
+    for _, survival in blocks:
+        check_probability("survival", survival)
+    *rest_pmfs, last = [binomial_pmf(n, 1 - P) for n, P in blocks if n] or [np.ones(1)]
     rest = reduce(_convolve_rows, rest_pmfs) if rest_pmfs else np.ones(1, dtype=int)
     cdf = np.cumsum(rest, axis=-1)
     top = min(budget, last.shape[-1] - 1)

@@ -14,6 +14,11 @@ two-channel uniform scenario the ``n``-qudit block travels in the adjustable
 channel (``p1``) and the remaining ``d - n`` qudits in the reference channel
 (``p2``); the closed-form anchor points are only consistent with that
 assignment, so it is fixed here rather than left to callers.
+
+:func:`allocate` builds the minimal split directly: success never falls when
+a qudit moves to a channel of higher ``p``, so one pass over the channels,
+each taking the smallest count whose best completion (the rest filled best
+``p`` first) reaches the target, gives the first feasible split.
 """
 
 from __future__ import annotations
@@ -274,18 +279,6 @@ class AllocationResult:
         }
 
 
-def _splits(total: int, caps: Sequence[int]):
-    """Compositions of ``total`` over the channels, capped, lexicographic."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    head_max = min(caps[0], total)
-    for first in range(0, head_max + 1):
-        for rest in _splits(total - first, caps[1:]):
-            yield (first,) + rest
-
-
 def _allocation_success(problem: AllocationProblem, code: QrsCode, split) -> float:
     m = photons_per_qudit(code, problem.q)
     blocks = [(count, ch.p**m) for ch, count in zip(problem.channels, split)]
@@ -303,33 +296,54 @@ def _check_problem(problem: AllocationProblem, target: float) -> None:
         _check_code(code)
 
 
+def _best_completion(prefix: tuple[int, ...], caps, order, d: int) -> tuple[int, ...]:
+    """``prefix``, then the rest of the ``d`` qudits filled into the later
+    channels in ``order`` (best ``p`` first), each up to its capacity."""
+    split = list(prefix) + [0] * (len(caps) - len(prefix))
+    left = d - sum(prefix)
+    for j in order:
+        if j >= len(prefix):
+            split[j] = min(caps[j], left)
+            left -= split[j]
+    return tuple(split)
+
+
 def allocate(problem: AllocationProblem, target: float = DEFAULT_TARGET) -> AllocationResult:
     """Minimal feasible allocation: fewest qudits, then photons, then
     lexicographically smallest split.
 
-    Exhaustive over candidate codes and capped per-channel splits of all d
-    qudits.  Raises :class:`Infeasible` when nothing reaches the target, and
-    ``ValueError`` naming the entry when a channel probability, a capacity,
-    a code or the target is invalid.
+    Success never falls when a qudit moves to a channel of higher ``p``, so
+    a split prefix's best completion fills the remaining channels best ``p``
+    first (ties by index), each to capacity.  Channel by channel, the split
+    takes the smallest count whose best completion reaches the target; the
+    previous step's completion is always a candidate, so nothing
+    backtracks.  Raises :class:`Infeasible` when nothing reaches the target,
+    and ``ValueError`` naming the entry when a channel probability, a
+    capacity, a code or the target is invalid.
     """
     _check_problem(problem, target)
     caps = [ch.capacity for ch in problem.channels]
+    order = sorted(range(len(caps)), key=lambda j: -problem.channels[j].p)
     ranked = sorted(
         problem.codes, key=lambda c: (c.d, c.d * photons_per_qudit(c, problem.q), c.k)
     )
     for code in ranked:
         if sum(caps) < code.d:
             continue
-        for split in _splits(code.d, caps):
-            value = _allocation_success(problem, code, split)
-            if value >= target:
-                return AllocationResult(
-                    code=code,
-                    split=split,
-                    achieved=value,
-                    total_qudits=code.d,
-                    total_photons=code.d * photons_per_qudit(code, problem.q),
-                )
+        split = _best_completion((), caps, order, code.d)
+        achieved = _allocation_success(problem, code, split)
+        if achieved < target:
+            continue
+        for i in range(len(caps)):
+            fewest = code.d - sum(split[:i]) - sum(caps[i + 1 :])  # the rest must fit
+            for count in range(max(fewest, 0), split[i]):
+                candidate = _best_completion(split[:i] + (count,), caps, order, code.d)
+                value = _allocation_success(problem, code, candidate)
+                if value >= target:
+                    split, achieved = candidate, value
+                    break
+        m = photons_per_qudit(code, problem.q)
+        return AllocationResult(code, split, achieved, code.d, code.d * m)
     raise Infeasible(f"no allocation reaches target {target}")
 
 

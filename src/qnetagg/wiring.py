@@ -11,8 +11,9 @@ multisets of paths and cycles with 7 edges on at most 11 vertices (a
 two-vertex cycle is a doubled edge).
 
 ``search_shared_photon_wiring`` compares every class against :func:`ps15` at
-random probability pairs and reports either the matching configuration or
-the closest miss.  A no-match outcome is a finding about the reference
+random probability pairs and reports either the matching class or the
+closest miss (:func:`wiring_configuration` builds either at given
+probabilities).  A no-match outcome is a finding about the reference
 polynomial, not a failure of the search.
 """
 
@@ -166,11 +167,6 @@ class WiringSearchResult:
     @property
     def found(self) -> bool:
         return self.matched is not None
-
-    def configuration(self, p1: float, p2: float) -> MultiplexConfiguration:
-        if self.matched is None:
-            raise LookupError("no matching wiring was found")
-        return wiring_configuration(self.matched, p1, p2)
 
 
 def search_shared_photon_wiring(seed: int = 20260810) -> WiringSearchResult:

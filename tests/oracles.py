@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from qnetagg.model import MultiplexConfiguration
+from qnetagg import engine
+from qnetagg.model import MultiplexConfiguration, photons_per_qudit
 
 
 def enumerate_success(config: MultiplexConfiguration) -> float:
@@ -87,3 +88,36 @@ def chain_loss_pmf(own_survivals, link_arrivals, ring: bool = False) -> np.ndarr
             rows = nxt
         total += rows[True] + rows[False]
     return total
+
+
+def _capped_compositions(total: int, caps):
+    """Splits of ``total`` over the channels, each within its cap, lexicographic."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(caps[0], total) + 1):
+        for rest in _capped_compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+def exhaustive_allocation(problem, target: float):
+    """``(code, split, achieved)`` of the first split, in code rank order and
+    then lexicographic order, that reaches ``target``; ``None`` if none does.
+
+    Every capped split of every code is evaluated with
+    ``engine.block_success``, blocks in channel order.  Unlike the oracles
+    above it shares the package's evaluator on purpose: exact equality with
+    ``planner.allocate`` then tests the search alone.
+    """
+    caps = [ch.capacity for ch in problem.channels]
+    for code in sorted(
+        problem.codes, key=lambda c: (c.d, c.d * photons_per_qudit(c, problem.q), c.k)
+    ):
+        m = photons_per_qudit(code, problem.q)
+        for split in _capped_compositions(code.d, caps):
+            blocks = [(count, ch.p**m) for ch, count in zip(problem.channels, split)]
+            value = engine.block_success(code, blocks)
+            if value >= target:
+                return code, split, value
+    return None

@@ -175,6 +175,23 @@ def test_sweep_without_layout_exit_2():
     assert "choose --single" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--fig4a", "--n", "20"],
+        ["--single", "--d", "7", "--k", "4", "--n", "20"],
+        ["--fig4a", "--fig4b-eq5"],
+        ["--single", "--fig4a"],
+    ],
+    ids=["fig4a-n", "single-n", "fig4a-fig4b", "single-fig4a"],
+)
+def test_sweep_layout_flags_exclude_each_other(flags):
+    result = run_cli(["sweep", *flags])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "not allowed with argument" in result.stderr
+
+
 def test_allocate_reports_aggregated_split(tmp_path):
     problem = {
         "channels": [

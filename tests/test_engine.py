@@ -394,7 +394,7 @@ def test_binomial_pmf_normalized_at_large_n():
 @pytest.mark.parametrize("n_blocks", [1, 2, 3])
 def test_block_success_arrays_match_scalar_calls(n_blocks, rng):
     code = QrsCode(43, 22)
-    counts = [rng.randint(0, 43 // n_blocks) for _ in range(n_blocks)]
+    counts = [rng.randint(1, 43 // n_blocks) for _ in range(n_blocks)]
     survivals = [np.array([rng.random() for _ in range(20)]) for _ in counts]
     survivals[0][:2] = (0.0, 1.0)
     values = block_success(code, list(zip(counts, survivals)))
@@ -421,9 +421,10 @@ def test_block_success_broadcasts_a_float_block():
         (QrsCode(7, 4), [(3, 1.5), (4, 0.9)], r"survival=1.5 outside \[0, 1\]"),
         (QrsCode(7, 4), [(7, np.array([-0.2, 0.5]))], r"survival=-0.2 outside \[0, 1\]"),
         (QrsCode(7, 4), [(3, 0.9), (4, np.array([0.5, np.nan]))], r"survival=nan outside"),
+        (QrsCode(7, 4), [(0, 1.5), (7, 0.9)], r"survival=1.5 outside \[0, 1\]"),
         (QrsCode(5, 7), [(5, 0.9)], r"d=5 k=7: k exceeds d"),
     ],
-    ids=["float", "negative-entry", "nan-entry", "k-above-d"],
+    ids=["float", "negative-entry", "nan-entry", "count-zero", "k-above-d"],
 )
 def test_block_success_rejects_invalid_input(code, blocks, named):
     with pytest.raises(ValueError, match=named):

@@ -1,9 +1,10 @@
 import io
+import random
 
 import numpy as np
 import pytest
 
-from oracles import enumerate_success, pgf_success
+from oracles import enumerate_success, exhaustive_allocation, pgf_success
 from qnetagg import engine, planner
 from qnetagg.model import (
     Channel,
@@ -377,3 +378,57 @@ def test_allocate_rejects_invalid_entries(channels, codes, names):
     with pytest.raises(ValueError, match=names) as info:
         allocate(problem)
     assert not isinstance(info.value, Infeasible)
+
+
+# --- allocation by greedy completion --------------------------------------------------
+
+_VALID_CODES = [QrsCode(d, k) for d, k in ((3, 2), (5, 3), (5, 4), (7, 4), (7, 6), (11, 6))]
+
+
+def _random_problem(rng: random.Random) -> tuple[AllocationProblem, float]:
+    """1-5 channels drawing ``p`` from a short list (so equal ``p`` recur),
+    capacities 0-6, 1-4 codes and q = 1-3."""
+    levels = [0.9, 0.95, 0.97, 0.98, 0.99, 0.999]
+    channels = tuple(
+        ChannelSpec(f"c{j}", rng.choice(levels), rng.randint(0, 6))
+        for j in range(rng.randint(1, 5))
+    )
+    codes = tuple(rng.sample(_VALID_CODES, rng.randint(1, 4)))
+    target = rng.choice([0.9, 0.99, 0.995, 0.999])
+    return AllocationProblem(channels, codes, rng.randint(1, 3)), target
+
+
+def test_allocate_equals_exhaustive_search():
+    rng = random.Random(7)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for _ in range(600):
+        problem, target = _random_problem(rng)
+        want = exhaustive_allocation(problem, target)
+        if want is None:
+            with pytest.raises(Infeasible):
+                allocate(problem, target)
+            outcomes["infeasible"] += 1
+            continue
+        result = allocate(problem, target)
+        assert (result.code, result.split, result.achieved) == want, (problem, target)
+        outcomes["feasible"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_allocate_evaluates_few_candidates(monkeypatch):
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    codes = tuple(QrsCode(d, (d + 1) // 2) for d in primes)
+    channels = tuple(ChannelSpec(f"c{j}", 0.91 + 0.007 * j, 8) for j in range(6))
+    problem = AllocationProblem(channels, codes, 1)
+    calls = []
+    evaluate = engine.block_success
+
+    def counted(code, blocks):
+        calls.append(code)
+        return evaluate(code, blocks)
+
+    monkeypatch.setattr(engine, "block_success", counted)
+    result = allocate(problem, 0.99)
+    assert len(calls) < 100
+    monkeypatch.setattr(engine, "block_success", evaluate)
+    assert (result.code, result.split, result.achieved) == exhaustive_allocation(problem, 0.99)
