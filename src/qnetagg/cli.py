@@ -3,6 +3,7 @@
 Exit codes: 0 success, 2 validation error (a missing, unreadable,
 malformed or invalid configuration or allocation document, a negative
 ``--mc``, an invalid sweep code, a sweep's grid or target outside [0, 1],
+a sweep grid that is descending, not finite or over 10^6 points,
 or a sweep with no layout or more than one chosen), 3 fully infeasible
 sweep, 4 infeasible allocation, 5 circuit verification failure.
 All output is deterministic for fixed flags: fixed float formatting, fixed
@@ -32,12 +33,12 @@ EXIT_INFEASIBLE = 4
 EXIT_CIRCUITS = 5
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> tuple[float, float, float]:
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError("grid must look like lo:hi:step") from None
-    return planner.grid_points(lo, hi, step)
+    return lo, hi, step
 
 
 def _describe(exc: Exception) -> str:
@@ -102,7 +103,8 @@ def _sweep_scenario(args) -> planner.Scenario:
 
 def cmd_sweep(args) -> int:
     try:
-        curve = planner.sweep_curve(_sweep_scenario(args), args.grid, args.target)
+        grid = planner.grid_points(*args.grid)
+        curve = planner.sweep_curve(_sweep_scenario(args), grid, args.target)
     except planner.EmptyCurve:
         print("sweep: every grid point infeasible", file=sys.stderr)
         return EXIT_EMPTY_SWEEP
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="15-photon/11-qudit mixed-degree layout",
     )
     p.add_argument("--target", type=float, default=planner.DEFAULT_TARGET)
-    p.add_argument("--grid", type=_parse_grid, default=planner.grid_points(*planner.DEFAULT_GRID))
+    p.add_argument("--grid", type=_parse_grid, default=planner.DEFAULT_GRID)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--summary", help="JSON summary path")
     p.set_defaults(func=cmd_sweep)

@@ -22,7 +22,8 @@ Layouts where every photon holds one qudit have a fast path,
 survival, each block's loss count is binomial, and the binomial pmf is
 computed in log space from a cached row of log C(n, i), so it stays finite
 at any d.  Survivals may be numpy arrays, which lets the planner evaluate a
-whole grid of channel qualities in one call.
+whole grid of channel qualities in one call; :func:`block_evaluator` builds
+all blocks but one once, for a caller that varies one block.
 
 Probabilities follow the rule in :mod:`model`: :func:`block_success` checks
 its survivals, and every result passes :func:`~qnetagg.model.clamp_roundoff`.
@@ -299,22 +300,35 @@ def block_success(code: QrsCode, blocks):
 
     ``blocks`` is a sequence of ``(count, per_qudit_survival)`` pairs.  This
     bypasses photon-level enumeration for layouts where no photon spans two
-    qudits and is what the curve solvers call in their inner loop.
+    qudits.
 
     Survivals may be floats or numpy arrays of one shape (they broadcast);
-    the result is then a float or an array of that shape.  The tail is
-    sum_i pmf_last[i] * CDF_rest[budget - i], where ``rest`` convolves every
-    block but the last.  Fraction survivals give an exact Fraction.  Raises
-    ``ValueError`` for a survival outside [0, 1] or a code with k > d.
+    the result is then a float or an array of that shape.  Fraction
+    survivals give an exact Fraction.  Raises ``ValueError`` for a survival
+    outside [0, 1] or a code with k > d.
     """
+    # a stable sort puts empty blocks first, so the last block with qudits varies
+    *fixed, varying = sorted(blocks, key=lambda block: block[0] > 0) or [(0, 1.0)]
+    return block_evaluator(code, fixed)(*varying)
+
+
+def block_evaluator(code: QrsCode, fixed):
+    """:func:`block_success` as ``success(count, survival)`` of one varying
+    block: the code and the ``fixed`` blocks are checked, convolved and
+    summed into a CDF once.  The tail is sum_i pmf[i] * CDF[budget - i]."""
     budget = code.tolerance()
     if budget < 0:
         raise ValueError(f"code d={code.d} k={code.k}: k exceeds d")
-    for _, survival in blocks:
+    for _, survival in fixed:
         check_probability("survival", survival)
-    *rest_pmfs, last = [binomial_pmf(n, 1 - P) for n, P in blocks if n] or [np.ones(1)]
-    rest = reduce(_convolve_rows, rest_pmfs) if rest_pmfs else np.ones(1, dtype=int)
-    cdf = np.cumsum(rest, axis=-1)
-    top = min(budget, last.shape[-1] - 1)
-    index = np.minimum(budget - np.arange(top + 1), cdf.shape[-1] - 1)
-    return clamp_roundoff((last[..., : top + 1] * cdf[..., index]).sum(axis=-1))
+    pmfs = [binomial_pmf(n, 1 - P) for n, P in fixed if n]
+    cdf = np.cumsum(reduce(_convolve_rows, pmfs), axis=-1) if pmfs else np.ones(1, dtype=int)
+
+    def success(count: int, survival):
+        check_probability("survival", survival)
+        pmf = binomial_pmf(count, 1 - survival)
+        top = min(budget, count)
+        index = np.minimum(budget - np.arange(top + 1), cdf.shape[-1] - 1)
+        return clamp_roundoff((pmf[..., : top + 1] * cdf[..., index]).sum(axis=-1))
+
+    return success

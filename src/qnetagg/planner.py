@@ -4,10 +4,11 @@ Iso-curves answer: given the better channel at ``p2``, how low may the other
 channel's ``p1`` drop while the packet still succeeds with probability at
 least the target (default 0.995)?  Every evaluator is monotone in ``p1``, so
 plain bisection converges; the residual at every reported point is at most
-1e-9.  A sweep bisects the points of its ``p2`` grid together: each of the
-60 steps evaluates the scenario once on numpy arrays of the points still
-being solved (for large codes, in fixed-size chunks of grid points).
-:func:`solve_p1` is the same bisection on a one-point grid.
+1e-9.  A sweep bisects the points of its ``p2`` grid together (for large
+codes, in chunks of grid points): the ``p2``-only part of ``P_S`` is built
+once per chunk, then each step evaluates the ``p1`` part on numpy arrays,
+until float resolution or 60 steps.  :func:`solve_p1` is the same bisection
+on a one-point grid.
 
 Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  In the
 two-channel uniform scenario the ``n``-qudit block travels in the adjustable
@@ -36,6 +37,7 @@ DEFAULT_TARGET = 0.995
 DEFAULT_GRID = (0.3, 1.0, 0.002)
 RESIDUAL_BOUND = 1e-9
 _BISECTION_STEPS = 60
+MAX_GRID_POINTS = 10**6
 # A sweep bisects at most _CHUNK_ENTRIES // (qudits + 1) grid points at a
 # time, so no (points, qudits + 1) block pmf exceeds 2^14 float64 entries
 # (128 KiB): small codes bisect the default grid in one go, and the
@@ -53,16 +55,20 @@ class EmptyCurve(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named two-argument success evaluator.
+    """A named success evaluator ``P_S(p1, p2)``, curried in ``p2``.
 
-    ``evaluate(p1, p2)`` takes floats or numpy arrays of one shape and
-    returns a float or an array of that shape; the planner passes arrays.
+    ``at(p2)`` does the work that depends on ``p2`` alone and returns the
+    evaluator of ``p1``.  Both take floats or numpy arrays of one shape and
+    the result has that shape; the planner passes arrays.
     """
 
     name: str
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     photons: int
     qudits: int
+
+    def evaluate(self, p1, p2):
+        return self.at(p2)(p1)
 
     def describe(self) -> dict:
         return {"scenario": self.name, "photons": self.photons, "qudits": self.qudits}
@@ -80,9 +86,10 @@ def single_channel_scenario(code: QrsCode, q: int) -> Scenario:
     ``ValueError`` for an invalid code."""
     _check_code(code)
     m = photons_per_qudit(code, q)
+    success = engine.block_evaluator(code, [])
     return Scenario(
         name=f"single(d={code.d},k={code.k},q={q})",
-        evaluate=lambda p1, p2: engine.block_success(code, [(code.d, p1**m)]),
+        at=lambda p2: lambda p1: success(code.d, p1**m),
         photons=code.d * m,
         qudits=code.d,
     )
@@ -97,12 +104,13 @@ def two_channel_scenario(code: QrsCode, q: int, n: int) -> Scenario:
     m = photons_per_qudit(code, q)
     d = code.d
 
-    def evaluate(p1: float, p2: float) -> float:
-        return engine.block_success(code, [(d - n, p2**m), (n, p1**m)])
+    def at(p2):
+        success = engine.block_evaluator(code, [(d - n, p2**m)])
+        return lambda p1: success(n, p1**m)
 
     return Scenario(
         name=f"uniform(d={d},k={code.k},q={q},n={n})",
-        evaluate=evaluate,
+        at=at,
         photons=d * m,
         qudits=d,
     )
@@ -112,7 +120,7 @@ def shared_photon_7_scenario() -> Scenario:
     """Six photons, seven qudits, one qudit spread over the better channel."""
     return Scenario(
         name="shared7",
-        evaluate=lambda p1, p2: closed_form.ps6(p1, p2),
+        at=lambda p2: lambda p1: closed_form.ps6(p1, p2),
         photons=6,
         qudits=7,
     )
@@ -122,33 +130,37 @@ def shared_photon_11_scenario() -> Scenario:
     """Fifteen photons, eleven qudits, mixed multiplexing degrees."""
     return Scenario(
         name="shared11",
-        evaluate=lambda p1, p2: closed_form.ps15(p1, p2),
+        at=lambda p2: lambda p1: closed_form.ps15(p1, p2),
         photons=15,
         qudits=11,
     )
 
 
-def _bisect(
-    evaluate: Callable, p2: np.ndarray, target: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
     """Smallest p1 with P_S(p1, p2) >= target at every point of ``p2``, and feasibility.
 
-    One bisection for all points: each step evaluates the scenario once on
-    the array of points still being bisected.  Points where p1 = 1 falls
-    short are infeasible; points where p1 = 0 already meets the target get 0.
+    One bisection for all points, on the evaluator ``at`` builds for the
+    points still being bisected.  Points where p1 = 1 falls short are
+    infeasible; points where p1 = 0 already meets the target get 0.  ``lo``
+    never meets the target and ``hi`` always does, so once every midpoint
+    equals one of them no bracket can move.
     """
-    feasible = evaluate(np.ones_like(p2), p2) >= target
+    evaluate = at(p2)
+    feasible = evaluate(np.ones_like(p2)) >= target
     p1 = np.zeros_like(p2)
-    todo = np.flatnonzero(feasible & (evaluate(p1, p2) < target))
+    todo = np.flatnonzero(feasible & (evaluate(p1) < target))
     if todo.size:
         p2 = p2[todo]
+        evaluate = at(p2)
         lo, hi = np.zeros_like(p2), np.ones_like(p2)
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            met = evaluate(mid, p2) >= target
+            if ((mid == lo) | (mid == hi)).all():
+                break
+            met = evaluate(mid) >= target
             hi = np.where(met, mid, hi)
             lo = np.where(met, lo, mid)
-        off = np.abs(evaluate(hi, p2) - target) > RESIDUAL_BOUND
+        off = np.abs(evaluate(hi) - target) > RESIDUAL_BOUND
         if off.any():
             raise ArithmeticError(
                 f"bisection residual above {RESIDUAL_BOUND} at p2={p2[off][0]}"
@@ -169,7 +181,7 @@ def _thresholds(
     rows = max(1, _CHUNK_ENTRIES // (scenario.qudits + 1))
     for start in range(0, len(p2), rows):
         part = slice(start, start + rows)
-        p1[part], feasible[part] = _bisect(scenario.evaluate, p2[part], target)
+        p1[part], feasible[part] = _bisect(scenario.at, p2[part], target)
     return p1, feasible
 
 
@@ -212,9 +224,16 @@ class ThresholdCurve:
 
 
 def grid_points(lo: float, hi: float, step: float) -> list[float]:
+    """``lo, lo + step, ...`` up to ``hi``; ``ValueError`` for a bound or step
+    that is not finite, or not ascending, or over ``MAX_GRID_POINTS`` points."""
+    if not np.isfinite([lo, hi, step]).all():
+        raise ValueError(f"grid {lo}:{hi}:{step} must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("grid must be ascending with positive step")
-    n = int(round((hi - lo) / step))
+    span = (hi - lo) / step  # inf when the division overflows
+    if span >= MAX_GRID_POINTS - 0.5:  # round(span) + 1 points
+        raise ValueError(f"grid {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
+    n = int(round(span))
     pts = [lo + i * step for i in range(n + 1)]
     return [p for p in pts if p <= hi + 1e-12]
 

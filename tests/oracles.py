@@ -121,3 +121,25 @@ def exhaustive_allocation(problem, target: float):
             if value >= target:
                 return code, split, value
     return None
+
+
+def bisect_60(scenario, grid, target: float):
+    """``(points, infeasible)`` of a sweep by a plain 60-step bisection.
+
+    The whole grid is bisected at once through ``scenario.evaluate``: no
+    chunks, no evaluator built once per chunk and no early stop, so exact
+    equality with ``planner.sweep_curve`` tests those three alone.
+    """
+    p2 = np.array(grid, dtype=float)
+    feasible = scenario.evaluate(np.ones_like(p2), p2) >= target
+    zero = scenario.evaluate(np.zeros_like(p2), p2) >= target
+    lo, hi = np.zeros_like(p2), np.ones_like(p2)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        met = scenario.evaluate(mid, p2) >= target
+        hi = np.where(met, mid, hi)
+        lo = np.where(met, lo, mid)
+    p1 = np.where(zero, 0.0, hi)
+    points = [(g, float(x)) for g, x, ok in zip(grid, p1, feasible) if ok]
+    infeasible = [g for g, ok in zip(grid, feasible) if not ok]
+    return points, infeasible

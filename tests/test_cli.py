@@ -230,6 +230,19 @@ def test_sweep_range_errors_exit_2(flags):
 
 
 @pytest.mark.parametrize(
+    "grid,named",
+    [("0:inf:0.1", "must be finite"), ("0:1:1e-12", "more than 1000000 points")],
+    ids=["infinite", "too-many-points"],
+)
+def test_sweep_bad_grid_exit_2(grid, named):
+    result = run_cli(["sweep", "--d", "43", "--k", "22", "--q", "1", "--n", "20", "--grid", grid])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("sweep: grid ") and line.endswith(named)
+
+
+@pytest.mark.parametrize(
     "channel,code,named",
     [
         ({"id": "a", "p": 1.7, "capacity": 3}, {"d": 3, "k": 2}, "channel 'a'"),

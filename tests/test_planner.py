@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import enumerate_success, exhaustive_allocation, pgf_success
+from oracles import bisect_60, enumerate_success, exhaustive_allocation, pgf_success
 from qnetagg import engine, planner
 from qnetagg.model import (
     Channel,
@@ -301,13 +301,81 @@ def test_sweep_points_hold_callers_grid_and_floats():
         assert type(p1) is float
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        planner.two_channel_scenario(D43, 1, 0),
+        planner.two_channel_scenario(D43, 1, 20),
+        planner.two_channel_scenario(D43, 1, 43),
+        planner.two_channel_scenario(QrsCode(211, 106), 8, 50),
+        planner.single_channel_scenario(D43, 1),
+        planner.shared_photon_7_scenario(),
+        planner.shared_photon_11_scenario(),
+    ],
+    ids=lambda s: s.name,
+)
+@pytest.mark.parametrize("target", [0.9, 0.995])
+def test_sweep_equals_plain_bisection(scenario, target):
+    grid = grid_points(*planner.DEFAULT_GRID)
+    points, infeasible = bisect_60(scenario, grid, target)
+    if not points:
+        with pytest.raises(EmptyCurve):
+            sweep_curve(scenario, grid, target)
+        return
+    curve = sweep_curve(scenario, grid, target)
+    assert list(curve.points) == points
+    assert list(curve.infeasible) == infeasible
+
+
+def test_sweep_builds_fixed_block_once_per_chunk(monkeypatch):
+    # d=211, q=8, n=50: the fixed block holds 161 qudits, p2 only
+    code = QrsCode(211, 106)
+    grid = grid_points(*planner.DEFAULT_GRID)
+    chunks = -(-len(grid) // (planner._CHUNK_ENTRIES // (code.d + 1)))
+    sizes = []
+    pmf = engine.binomial_pmf
+
+    def counted(n, loss_probability):
+        sizes.append(n)
+        return pmf(n, loss_probability)
+
+    monkeypatch.setattr(engine, "binomial_pmf", counted)
+    sweep_curve(planner.two_channel_scenario(code, 8, 50), grid)
+    assert chunks > 1
+    assert 0 < sizes.count(161) <= 2 * chunks
+
+
 def test_residual_check_raises():
     # a step in p1: bisection converges on the jump, where the residual stays large
-    step = Scenario("step", lambda p1, p2: np.where(p1 >= 0.5, 1.0, 0.0), 1, 1)
+    step = Scenario("step", lambda p2: lambda p1: np.where(p1 >= 0.5, 1.0, 0.0), 1, 1)
     with pytest.raises(ArithmeticError):
         solve_p1(step, 0.9)
     with pytest.raises(ArithmeticError):
         sweep_curve(step, [0.8, 0.9])
+
+
+@pytest.mark.parametrize(
+    "lo,hi,step,named",
+    [
+        (0.0, float("inf"), 0.1, "finite"),
+        (-float("inf"), 1.0, 0.1, "finite"),
+        (0.0, 1.0, float("inf"), "finite"),
+        (0.0, 1.0, float("nan"), "finite"),
+        (0.0, 1.0, 1e-6, "more than 1000000 points"),
+        (0.0, 1.0, 1e-12, "more than 1000000 points"),
+        (-1e308, 1e308, 1.0, "more than 1000000 points"),
+        (1.0, 0.0, 0.1, "ascending"),
+        (0.0, 1.0, 0.0, "positive step"),
+    ],
+    ids=["inf-hi", "inf-lo", "inf-step", "nan-step", "1e6+1", "1e12+1", "overflow", "desc", "zero"],
+)
+def test_grid_points_rejects(lo, hi, step, named):
+    with pytest.raises(ValueError, match=named):
+        grid_points(lo, hi, step)
+
+
+def test_grid_points_at_limit():
+    assert len(grid_points(0.0, planner.MAX_GRID_POINTS - 1.0, 1.0)) == planner.MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("p2", [1.5, -0.1, float("nan")])
