@@ -2,27 +2,24 @@
 
 For the 43-qudit code, raising the reference channel to 0.99 lets the
 adjustable channel (carrying 20 qudits) drop to ~0.81 without multiplexing,
-or ~0.39 with 4 qubits per photon.  Writes the curves as CSV next to this
-script.
+or ~0.39 with 4 qubits per photon.  Writes the curves as CSV files into
+the current directory.
 """
-
-from pathlib import Path
 
 from qnetagg import QrsCode, grid_points, solve_p1, sweep_curve, two_channel_scenario
 from qnetagg.planner import single_channel_scenario
 
 CODE = QrsCode(43, 22)
-OUT = Path(__file__).parent
 
 for q in (1, 4):
     flat = solve_p1(single_channel_scenario(CODE, q), 0.5)
     print(f"q={q}: single-channel threshold p* = {flat:.4f}")
     scenario = two_channel_scenario(CODE, q, 20)
     curve = sweep_curve(scenario, grid_points(0.3, 1.0, 0.002))
-    path = OUT / f"curve_d43_q{q}_n20.csv"
+    path = f"curve_d43_q{q}_n20.csv"
     with open(path, "w", encoding="utf-8") as fh:
         curve.to_csv(fh)
-    print(f"  wrote {path.name}: {len(curve.points)} feasible points, "
+    print(f"  wrote {path}: {len(curve.points)} feasible points, "
           f"{len(curve.infeasible)} infeasible")
     for p2 in (0.95, 0.97, 0.99):
         print(f"  p2={p2}: adjustable channel may drop to p1 = {solve_p1(scenario, p2):.4f}")

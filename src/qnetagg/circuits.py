@@ -141,9 +141,6 @@ class Gate:
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", assert_unitary(self.matrix))
-
     def apply(self, state: PureState) -> PureState:
         return apply_unitary(state, self.matrix, self.targets, self.controls)
 
@@ -205,7 +202,15 @@ CODE_TRIPLES = {
     2: ((0, 2, 1), (1, 0, 2), (2, 1, 0)),
 }
 
-PAIR_BITS = {0: (0, 0), 1: (1, 0), 2: (1, 1)}  # 0->HH, 1->VH, 2->VV
+
+def _as_pairs(state: PureState) -> PureState:
+    """A qutrit state on qubit pairs: values 0/1/2 become 00/10/11 (HH/VH/VV)."""
+    index = np.zeros(1, dtype=int)
+    for _ in state.radices:
+        index = (4 * index[:, None] + [0b00, 0b10, 0b11]).ravel()
+    amp = np.zeros(4 ** len(state.radices), dtype=complex)
+    amp[index] = state.amplitudes
+    return PureState((2,) * (2 * len(state.radices)), amp)
 
 
 def logical_qutrit_state(alpha: complex, beta: complex, gamma: complex) -> PureState:
@@ -218,18 +223,8 @@ def logical_qutrit_state(alpha: complex, beta: complex, gamma: complex) -> PureS
 
 
 def logical_pair_state(alpha: complex, beta: complex, gamma: complex) -> PureState:
-    """Direct construction of the six-qubit encoded state (the oracle)."""
-    amp = np.zeros(64, dtype=complex)
-    for weight, value in ((alpha, 0), (beta, 1), (gamma, 2)):
-        for triple in CODE_TRIPLES[value]:
-            bits = []
-            for digit in triple:
-                bits.extend(PAIR_BITS[digit])
-            idx = 0
-            for b in bits:
-                idx = 2 * idx + b
-            amp[idx] += weight / math.sqrt(3)
-    return PureState((2,) * 6, amp)
+    """The six-qubit encoded state (the oracle): the qutrit one on pairs."""
+    return _as_pairs(logical_qutrit_state(alpha, beta, gamma))
 
 
 def _check_amplitudes(*amps: complex) -> None:
@@ -240,6 +235,18 @@ def _check_amplitudes(*amps: complex) -> None:
 # --- qutrit encoder ------------------------------------------------------------
 
 
+def _qutrit_input(alpha: complex, beta: complex, gamma: complex) -> PureState:
+    """Checked input of :func:`qutrit_encode`."""
+    _check_amplitudes(alpha, beta, gamma)
+    return product_state(
+        [
+            (3, np.array([alpha, beta, gamma])),
+            (3, np.array([1.0, 0.0, 0.0])),
+            (3, np.array([1.0, 1.0, 1.0]) / math.sqrt(3)),
+        ]
+    )
+
+
 def qutrit_encode(alpha: complex, beta: complex, gamma: complex) -> PureState:
     """Encode one qutrit into three via subtract-control then two cyclic adds.
 
@@ -248,14 +255,7 @@ def qutrit_encode(alpha: complex, beta: complex, gamma: complex) -> PureState:
     |1>|0> -> |1>|2> and |2>|0> -> |2>|1>; the add gates fan qutrit 2's value
     onto qutrits 1 and 0.
     """
-    _check_amplitudes(alpha, beta, gamma)
-    state = product_state(
-        [
-            (3, np.array([alpha, beta, gamma])),
-            (3, np.array([1.0, 0.0, 0.0])),
-            (3, np.array([1.0, 1.0, 1.0]) / math.sqrt(3)),
-        ]
-    )
+    state = _qutrit_input(alpha, beta, gamma)
     state = apply_unitary(state, qutrit_shift_gate(-1), [0, 1])
     state = apply_unitary(state, qutrit_shift_gate(1), [2, 1])
     state = apply_unitary(state, qutrit_shift_gate(1), [2, 0])
@@ -296,14 +296,8 @@ def _pair_encoder_gates() -> list[Gate]:
 
 
 def _pair_input(alpha: complex, beta: complex, gamma: complex) -> PureState:
-    """Checked six-qubit input: (alpha, beta, gamma) on pair 0 as 00, 10, 11,
-    |00> on pair 1, the uniform superposition of the three words on pair 2.
-    """
-    _check_amplitudes(alpha, beta, gamma)
-    pair1 = np.array([alpha, 0, beta, gamma], dtype=complex)
-    pair3 = np.array([1.0, 0.0, 1.0, 1.0], dtype=complex) / math.sqrt(3)
-    init = product_state([(4, pair1), (4, np.array([1.0, 0, 0, 0])), (4, pair3)])
-    return PureState((2,) * 6, init.amplitudes)
+    """The qutrit encoder's input on qubit pairs."""
+    return _as_pairs(_qutrit_input(alpha, beta, gamma))
 
 
 def six_photon_encode(alpha: complex, beta: complex, gamma: complex) -> PureState:
@@ -352,17 +346,11 @@ def prepare_multiplexed_qutrit(alpha: complex, beta: complex, theta: float) -> P
 # --- cross-DOF CNOT and branch Toffoli constructions ----------------------------
 
 
-def _native_cnot16() -> np.ndarray:
-    """CNOT from pol_1 onto pol_2 on two full photons (qubits pol1,tb1,pol2,tb2)."""
-    return permutation_matrix(16, lambda idx: idx ^ 0b0010 if idx & 0b1000 else idx)
-
-
 def ideal_cnot16(control_dof: str, target_dof: str) -> np.ndarray:
-    """Plain CNOT between the chosen DOFs, identity elsewhere (the oracle)."""
-    pos = {"pol1": 3, "tb1": 2, "pol2": 1, "tb2": 0}
-    c = pos[f"{control_dof}1"]
-    t = pos[f"{target_dof}2"]
-    return permutation_matrix(16, lambda idx: idx ^ (1 << t) if idx >> c & 1 else idx)
+    """Plain CNOT from a DOF of photon 1 onto one of photon 2 on qubits
+    (pol1, tb1, pol2, tb2), identity elsewhere (the oracle)."""
+    pos = {"pol": 0, "tb": 1}
+    return ideal_toffoli(4, controls=[(pos[control_dof], 1)], target=2 + pos[target_dof])
 
 
 def table_cnot(control_dof: str, target_dof: str) -> Gate:
@@ -376,7 +364,7 @@ def table_cnot(control_dof: str, target_dof: str) -> Gate:
     if control_dof not in ("pol", "tb") or target_dof not in ("pol", "tb"):
         raise ValueError("DOFs are 'pol' or 'tb'")
     eye4 = np.eye(4, dtype=complex)
-    m = _native_cnot16()
+    m = ideal_cnot16("pol", "pol")
     if target_dof == "tb":
         wb = np.kron(eye4, SWAP_HS_VL)
         m = wb @ m @ wb
@@ -406,8 +394,7 @@ def toffoli_mode_split() -> Gate:
     Modeled as P_L (x) CNOT + P_S (x) I on qubit order (pol1, pol2, tb2); the
     result equals the Toffoli with controls (pol2=1, tb2=1) and target pol1.
     """
-    # control pol2 (low bit), target pol1 (high bit)
-    cnot = permutation_matrix(4, lambda idx: idx ^ 0b10 if idx & 0b01 else idx)
+    cnot = ideal_toffoli(2, controls=[(1, 1)], target=0)  # pol2 onto pol1
     p_late = np.diag([0.0, 1.0]).astype(complex)
     p_short = np.diag([1.0, 0.0]).astype(complex)
     composite = np.kron(cnot, p_late) + np.kron(np.eye(4), p_short)
@@ -449,9 +436,7 @@ def shared_photon_toffoli(
 
     # canonical split CNOT on (pol_A, tb_A, pol_B, tb_B): CNOT(pol_A -> pol_B)
     # applied on the tb_B = L branch only.
-    canonical = permutation_matrix(
-        16, lambda idx: idx ^ 0b0010 if idx & 0b1001 == 0b1001 else idx
-    )
+    canonical = ideal_toffoli(4, controls=[(0, 1), (3, 1)], target=2)
 
     conj = np.kron(ra, rb)
     composite = conj.conj().T @ canonical @ conj

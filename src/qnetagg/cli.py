@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 validation error (a missing, unreadable,
 malformed or invalid configuration or allocation document, a negative
-``--mc``, an invalid sweep code, a sweep's grid or target outside [0, 1],
-a sweep grid that is descending, not finite or over 10^6 points,
-or a sweep with no layout or more than one chosen), 3 fully infeasible
-sweep, 4 infeasible allocation, 5 circuit verification failure.
+``--mc``, a ``--seed`` outside 0..2^128 - 1, an invalid sweep code, a
+sweep's grid or target outside [0, 1], a sweep grid that is descending, not
+finite or over 10^6 points, or a sweep with no layout or more than one
+chosen), 3 fully infeasible sweep, 4 infeasible allocation, 5 circuit
+verification failure.
 All output is deterministic for fixed flags: fixed float formatting, fixed
 ordering, seeded sampling.
 """
@@ -75,10 +76,13 @@ def cmd_success(args) -> int:
     config = _read_document(args.config, lambda path: validate(load_config(path)), "invalid")
     if config is None:
         return EXIT_VALIDATION
-    exact = success_probability(config)
-    print(f"success_probability {exact:.15g}")
-    if args.mc:
-        est = montecarlo.estimate(config, args.mc, args.seed)
+    try:
+        est = montecarlo.estimate(config, args.mc, args.seed) if args.mc else None
+    except ValueError as exc:
+        print(f"success: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    print(f"success_probability {success_probability(config):.15g}")
+    if est is not None:
         print(f"mc_estimate {est.mean:.15g}")
         print(f"mc_std_error {est.std_error:.15g}")
         print(f"mc_samples {est.samples}")

@@ -68,9 +68,7 @@ def ps_single(code: QrsCode, q: int, p):
 
     sum_{j=0}^{d-k} C(d, j) P^(d-j) (1-P)^j  with  P = p^ceil(log2(d)/q).
     """
-    check_probability("p", p)
-    P = qudit_survival(code, q, p)
-    return clamp_roundoff(sum(_binomial_terms(code.d, P, code.tolerance())))
+    return ps_single_withheld(code, q, p, 0)
 
 
 def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):

@@ -25,8 +25,10 @@ at any d.  Survivals may be numpy arrays, which lets the planner evaluate a
 whole grid of channel qualities in one call; :func:`block_evaluator` builds
 all blocks but one once, for a caller that varies one block.
 
-Probabilities follow the rule in :mod:`model`: :func:`block_success` checks
-its survivals, and every result passes :func:`~qnetagg.model.clamp_roundoff`.
+Inputs follow the rules in :mod:`model` and are checked where they enter:
+:func:`block_success` checks the code and its survivals, :func:`block_evaluator`
+the code and the fixed blocks but not the varying survival.  Every result
+passes :func:`~qnetagg.model.clamp_roundoff`.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ from math import comb, log
 
 import numpy as np
 
-from .model import MultiplexConfiguration, QrsCode, check_probability, clamp_roundoff, validate
+from .model import (
+    MultiplexConfiguration, QrsCode, check_code, check_probability, clamp_roundoff, validate
+)
 
 CLUSTER_STATE_BITS = 16
 BRUTE_FORCE_PHOTON_LIMIT = 20
-_CHUNK_BITS = 20
 
 
 class ClusterTooLarge(ValueError):
@@ -222,19 +225,16 @@ def brute_force(config: MultiplexConfiguration):
     for i, ph in enumerate(config.photons):
         for q in ph.qudits:
             masks[q] |= 1 << i
-    total = 0
-    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << n)
-        patterns = np.arange(start, stop, dtype=np.uint64)
-        weights = np.ones(stop - start, dtype=object if exact else float)
-        for i, p in enumerate(probs):
-            bit = (patterns >> np.uint64(i)) & np.uint64(1)
-            weights *= np.where(bit == 1, p, 1 - p)
-        lost = np.zeros(stop - start, dtype=np.int64)
-        for mask in masks:
-            m_u = np.uint64(mask)
-            lost += ((patterns & m_u) != m_u).astype(np.int64)
-        total += weights[lost <= budget].sum()
+    patterns = np.arange(1 << n, dtype=np.uint64)
+    weights = np.ones(1 << n, dtype=object if exact else float)
+    for i, p in enumerate(probs):
+        bit = (patterns >> np.uint64(i)) & np.uint64(1)
+        weights *= np.where(bit == 1, p, 1 - p)
+    lost = np.zeros(1 << n, dtype=np.int64)
+    for mask in masks:
+        m_u = np.uint64(mask)
+        lost += ((patterns & m_u) != m_u).astype(np.int64)
+    total = weights[lost <= budget].sum()
     return clamp_roundoff(total if exact else float(total))
 
 
@@ -305,30 +305,30 @@ def block_success(code: QrsCode, blocks):
     Survivals may be floats or numpy arrays of one shape (they broadcast);
     the result is then a float or an array of that shape.  Fraction
     survivals give an exact Fraction.  Raises ``ValueError`` for a survival
-    outside [0, 1] or a code with k > d.
+    outside [0, 1] or an invalid code.
     """
     # a stable sort puts empty blocks first, so the last block with qudits varies
-    *fixed, varying = sorted(blocks, key=lambda block: block[0] > 0) or [(0, 1.0)]
-    return block_evaluator(code, fixed)(*varying)
+    *fixed, (count, survival) = sorted(blocks, key=lambda block: block[0] > 0) or [(0, 1.0)]
+    check_probability("survival", survival)
+    return block_evaluator(code, fixed, count)(survival)
 
 
-def block_evaluator(code: QrsCode, fixed):
-    """:func:`block_success` as ``success(count, survival)`` of one varying
-    block: the code and the ``fixed`` blocks are checked, convolved and
-    summed into a CDF once.  The tail is sum_i pmf[i] * CDF[budget - i]."""
-    budget = code.tolerance()
-    if budget < 0:
-        raise ValueError(f"code d={code.d} k={code.k}: k exceeds d")
+def block_evaluator(code: QrsCode, fixed, count: int):
+    """:func:`block_success` as ``success(survival)`` of a varying block of
+    ``count`` qudits, its survival unchecked.  The code and the ``fixed``
+    blocks are checked and convolved once, and the CDF entries the tail
+    sum_i pmf[i] * CDF[budget - i] reads are gathered once."""
+    check_code(code)
     for _, survival in fixed:
         check_probability("survival", survival)
+    budget = code.tolerance()
     pmfs = [binomial_pmf(n, 1 - P) for n, P in fixed if n]
     cdf = np.cumsum(reduce(_convolve_rows, pmfs), axis=-1) if pmfs else np.ones(1, dtype=int)
+    top = min(budget, count)
+    tail = cdf[..., np.minimum(budget - np.arange(top + 1), cdf.shape[-1] - 1)]
 
-    def success(count: int, survival):
-        check_probability("survival", survival)
+    def success(survival):
         pmf = binomial_pmf(count, 1 - survival)
-        top = min(budget, count)
-        index = np.minimum(budget - np.arange(top + 1), cdf.shape[-1] - 1)
-        return clamp_roundoff((pmf[..., : top + 1] * cdf[..., index]).sum(axis=-1))
+        return clamp_roundoff((pmf[..., : top + 1] * tail).sum(axis=-1))
 
     return success

@@ -6,8 +6,8 @@ at most ``d - k`` qudits are erased.  Each qudit is physically carried by
 qudit it carries a qubit of.  A configuration records which photon carries
 which qubits and which channel each photon travels through.
 
-The probability rule of every module lives here: :func:`check_probability`
-for inputs and :func:`clamp_roundoff` for computed results.
+The input and result rules of every module live here: :func:`check_code`
+and :func:`check_probability` for inputs, :func:`clamp_roundoff` for results.
 
 All types are immutable; instances can be shared freely between threads.
 """
@@ -122,9 +122,7 @@ class QrsCode:
         return self.d - self.k
 
     def qubits_per_qudit(self) -> int:
-        """ceil(log2(d)): qubits needed to hold one qudit."""
-        if self.d == 1:
-            return 1
+        """ceil(log2(d)), at least 1: qubits needed to hold one qudit."""
         return max(1, (self.d - 1).bit_length())
 
     def logical_qudits(self) -> int:
@@ -144,6 +142,13 @@ class QrsCode:
                 )
             )
         return out
+
+
+def check_code(code: QrsCode) -> None:
+    """Raise ``ValueError`` naming the code's first violation, if any."""
+    violations = code.check()
+    if violations:
+        raise ValueError(f"code d={code.d} k={code.k}: {violations[0]}")
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,12 @@ class McEstimate:
 
 
 def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McEstimate:
-    """Estimate success probability from ``samples`` independent trials."""
+    """Estimate success probability from ``samples`` independent trials;
+    ``ValueError`` for ``samples`` < 1 or a ``seed`` outside 0..2^128 - 1."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed={seed} outside 0..2**128-1")
     validate(config)
     probs = np.array([float(p) for p in config.photon_probabilities()])
     budget = config.code.tolerance() - config.withheld

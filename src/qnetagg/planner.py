@@ -14,7 +14,9 @@ Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  In the
 two-channel uniform scenario the ``n``-qudit block travels in the adjustable
 channel (``p1``) and the remaining ``d - n`` qudits in the reference channel
 (``p2``); the closed-form anchor points are only consistent with that
-assignment, so it is fixed here rather than left to callers.
+assignment, so it is fixed here rather than left to callers; single-channel
+is its n = d case.  ``p1`` and ``p2`` are checked where they enter
+(:meth:`Scenario.evaluate`, the sweep grid), not in a bisection step.
 
 :func:`allocate` builds the minimal split directly: success never falls when
 a qudit moves to a channel of higher ``p``, so one pass over the channels,
@@ -25,13 +27,13 @@ each taking the smallest count whose best completion (the rest filled best
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import closed_form, engine
-from .model import QrsCode, check_probability, photons_per_qudit
+from .model import QrsCode, check_code, check_probability, photons_per_qudit
 
 DEFAULT_TARGET = 0.995
 DEFAULT_GRID = (0.3, 1.0, 0.002)
@@ -68,45 +70,33 @@ class Scenario:
     qudits: int
 
     def evaluate(self, p1, p2):
+        """``P_S(p1, p2)``; ``ValueError`` for a ``p1`` outside [0, 1]."""
+        check_probability("p1", p1)
         return self.at(p2)(p1)
 
     def describe(self) -> dict:
         return {"scenario": self.name, "photons": self.photons, "qudits": self.qudits}
 
 
-def _check_code(code: QrsCode) -> None:
-    """Raise ``ValueError`` naming the code's first violation, if any."""
-    violations = code.check()
-    if violations:
-        raise ValueError(f"code d={code.d} k={code.k}: {violations[0]}")
-
-
 def single_channel_scenario(code: QrsCode, q: int) -> Scenario:
-    """All qudits in the adjustable channel; flat in p2.  Raises
-    ``ValueError`` for an invalid code."""
-    _check_code(code)
-    m = photons_per_qudit(code, q)
-    success = engine.block_evaluator(code, [])
-    return Scenario(
-        name=f"single(d={code.d},k={code.k},q={q})",
-        at=lambda p2: lambda p1: success(code.d, p1**m),
-        photons=code.d * m,
-        qudits=code.d,
-    )
+    """All qudits in the adjustable channel: the two-channel scenario at
+    n = d, flat in p2.  Raises ``ValueError`` for an invalid code."""
+    scenario = two_channel_scenario(code, q, code.d)
+    return replace(scenario, name=f"single(d={code.d},k={code.k},q={q})")
 
 
 def two_channel_scenario(code: QrsCode, q: int, n: int) -> Scenario:
     """n qudits in the adjustable channel, d - n in the reference channel.
     Raises ``ValueError`` for an invalid code or ``n`` outside 0..d."""
-    _check_code(code)
+    check_code(code)
     if not (0 <= n <= code.d):
         raise ValueError(f"n={n} outside 0..{code.d}")
     m = photons_per_qudit(code, q)
     d = code.d
 
     def at(p2):
-        success = engine.block_evaluator(code, [(d - n, p2**m)])
-        return lambda p1: success(n, p1**m)
+        success = engine.block_evaluator(code, [(d - n, p2**m)], n)
+        return lambda p1: success(p1**m)
 
     return Scenario(
         name=f"uniform(d={d},k={code.k},q={q},n={n})",
@@ -312,7 +302,7 @@ def _check_problem(problem: AllocationProblem, target: float) -> None:
         if ch.capacity < 0:
             raise ValueError(f"channel {ch.id!r}: capacity {ch.capacity} is negative")
     for code in problem.codes:
-        _check_code(code)
+        check_code(code)
 
 
 def _best_completion(prefix: tuple[int, ...], caps, order, d: int) -> tuple[int, ...]:
@@ -374,8 +364,7 @@ def single_channel_solutions(
     out = []
     for code in sorted(problem.codes, key=lambda c: c.d):
         for ch in problem.channels:
-            if code.d <= ch.capacity:
-                m = photons_per_qudit(code, problem.q)
-                if engine.block_success(code, [(code.d, ch.p**m)]) >= target:
-                    out.append((code, ch.id))
+            split = [code.d if other is ch else 0 for other in problem.channels]
+            if code.d <= ch.capacity and _allocation_success(problem, code, split) >= target:
+                out.append((code, ch.id))
     return out

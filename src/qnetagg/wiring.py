@@ -126,9 +126,9 @@ def three_matching_count(components: Sequence[Component]) -> int:
         k = 1
         while True:
             if kind == "path":
-                c = _comb(m - k + 1, k)
+                c = comb(m - k + 1, k)
             else:
-                c = m * _comb(m - k - 1, k - 1) // k if m - k >= k else 0
+                c = m * comb(m - k - 1, k - 1) // k if m - k >= k else 0
             if c == 0:
                 break
             counts.append(c)
@@ -144,10 +144,6 @@ def three_matching_count(components: Sequence[Component]) -> int:
                 new[i + j] += x * y
         total = new
     return total[3] if len(total) > 3 else 0
-
-
-def _comb(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
 
 
 @dataclass(frozen=True)

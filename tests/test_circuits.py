@@ -181,6 +181,23 @@ def test_cross_dof_cnot_equals_ideal(control, target):
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("control", ["pol", "tb"])
+@pytest.mark.parametrize("target", ["pol", "tb"])
+def test_ideal_cnot16_follows_bit_rule(control, target):
+    # basis index 8 pol1 + 4 tb1 + 2 pol2 + tb2; the photon-1 control bit
+    # flips the photon-2 target bit
+    m = qc.ideal_cnot16(control, target)
+    for idx in range(16):
+        values = (idx >> 3 & 1, idx >> 2 & 1, idx >> 1 & 1, idx & 1)
+        bits = dict(zip(("pol1", "tb1", "pol2", "tb2"), values))
+        if bits[control + "1"]:
+            bits[target + "2"] ^= 1
+        image = 8 * bits["pol1"] + 4 * bits["tb1"] + 2 * bits["pol2"] + bits["tb2"]
+        want = np.zeros(16)
+        want[image] = 1
+        assert np.array_equal(m[:, idx], want)
+
+
 def test_cross_dof_cnot_involutive():
     for c in ("pol", "tb"):
         for t in ("pol", "tb"):

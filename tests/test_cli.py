@@ -103,6 +103,14 @@ def test_success_negative_mc_exit_2(fig2b_config):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])
+def test_success_seed_out_of_range_exit_2(fig2b_config, seed):
+    result = run_cli(["success", fig2b_config, "--mc", "10", "--seed", str(seed)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"success: seed={seed} outside 0..2**128-1\n"
+
+
 def test_sweep_reproduces_anchor(tmp_path):
     out = tmp_path / "curve.csv"
     summary = tmp_path / "curve.json"

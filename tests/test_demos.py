@@ -1,4 +1,5 @@
-"""Each narrative script under ``demos/`` runs to completion."""
+"""Each narrative script under ``demos/`` runs to completion, in a scratch
+directory so that whatever it writes stays out of the checkout."""
 
 import os
 import subprocess
@@ -12,12 +13,17 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(script):
+def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -8,6 +8,7 @@ from conftest import random_configuration
 from oracles import chain_loss_pmf, enumerate_success, pgf_loss_pmf, pgf_success
 from qnetagg import closed_form
 from qnetagg.engine import (
+    BRUTE_FORCE_PHOTON_LIMIT,
     ClusterTooLarge,
     TooManyPhotons,
     binomial_pmf,
@@ -239,6 +240,19 @@ def test_brute_force_small_closed_form():
     assert brute_force(config) == pytest.approx(0.972, abs=1e-12)
 
 
+def test_brute_force_at_photon_limit_equals_engine():
+    # a ring of 20 photons over 10 sent qudits: photon 2i holds 2 qubits of
+    # qudit i, photon 2i+1 one qubit each of qudits i and i+1
+    photons = []
+    for i in range(10):
+        photons.append(Photon("a", ((i, 2),)))
+        photons.append(Photon("b", ((i, 1), ((i + 1) % 10, 1))))
+    channels = (Channel("a", 0.9), Channel("b", 0.8))
+    config = MultiplexConfiguration(QrsCode(11, 6), channels, tuple(photons), withheld=1)
+    assert len(config.photons) == BRUTE_FORCE_PHOTON_LIMIT
+    assert brute_force(config) == pytest.approx(success_probability(config), abs=1e-12)
+
+
 def test_brute_force_rejects_many_photons():
     config = uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.9), 7)])
     with pytest.raises(TooManyPhotons):
@@ -422,9 +436,10 @@ def test_block_success_broadcasts_a_float_block():
         (QrsCode(7, 4), [(7, np.array([-0.2, 0.5]))], r"survival=-0.2 outside \[0, 1\]"),
         (QrsCode(7, 4), [(3, 0.9), (4, np.array([0.5, np.nan]))], r"survival=nan outside"),
         (QrsCode(7, 4), [(0, 1.5), (7, 0.9)], r"survival=1.5 outside \[0, 1\]"),
-        (QrsCode(5, 7), [(5, 0.9)], r"d=5 k=7: k exceeds d"),
+        (QrsCode(5, 7), [(5, 0.9)], r"d=5 k=7: bad-code-parameters: k=7 outside 1..d"),
+        (QrsCode(9, 5), [(9, 0.9)], r"d=9 k=5: non-prime-d: d=9 is not prime"),
     ],
-    ids=["float", "negative-entry", "nan-entry", "count-zero", "k-above-d"],
+    ids=["float", "negative-entry", "nan-entry", "count-zero", "k-above-d", "non-prime-d"],
 )
 def test_block_success_rejects_invalid_input(code, blocks, named):
     with pytest.raises(ValueError, match=named):

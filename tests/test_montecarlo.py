@@ -24,6 +24,19 @@ def test_zero_variance_estimate_agrees_with_exact():
     assert not est.agrees_with(1.0 - 1e-3, sigmas=4)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])
+def test_seed_outside_philox_key_range_rejected(seed):
+    config = shared7_configuration(0.9, 0.95)
+    with pytest.raises(ValueError, match=rf"seed={seed} outside 0\.\.2\*\*128-1"):
+        montecarlo.estimate(config, 10, seed=seed)
+
+
+def test_seed_range_ends_accepted():
+    config = shared7_configuration(0.9, 0.95)
+    for seed in (0, (1 << 128) - 1):
+        assert montecarlo.estimate(config, 10, seed=seed).seed == seed
+
+
 def test_reproducible_under_fixed_seed():
     config = shared7_configuration(0.9, 0.95)
     a = montecarlo.estimate(config, 300_000, seed=42)

@@ -345,6 +345,38 @@ def test_sweep_builds_fixed_block_once_per_chunk(monkeypatch):
     assert 0 < sizes.count(161) <= 2 * chunks
 
 
+@pytest.mark.parametrize(
+    "code,q", [(QrsCode(7, 4), 3), (D43, 1), (QrsCode(211, 106), 8)], ids=["d7", "d43", "d211"]
+)
+def test_single_channel_scenario_is_two_channel_at_n_equals_d(code, q):
+    single = planner.single_channel_scenario(code, q)
+    whole = planner.two_channel_scenario(code, q, code.d)
+    grid = grid_points(*planner.DEFAULT_GRID)
+    a, b = sweep_curve(single, grid), sweep_curve(whole, grid)
+    assert a.points == b.points
+    assert a.infeasible == b.infeasible
+    assert single.describe() == {
+        "scenario": f"single(d={code.d},k={code.k},q={q})",
+        "photons": whole.photons,
+        "qudits": code.d,
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: planner.single_channel_scenario(D43, 1),
+        lambda: planner.two_channel_scenario(D43, 1, 20),
+        planner.shared_photon_7_scenario,
+        planner.shared_photon_11_scenario,
+    ],
+    ids=["single", "two-channel", "shared7", "shared11"],
+)
+def test_evaluate_rejects_p1_outside_unit_interval(build):
+    with pytest.raises(ValueError, match=r"p1=1.5 outside \[0, 1\]"):
+        build().evaluate(1.5, 0.9)
+
+
 def test_residual_check_raises():
     # a step in p1: bisection converges on the jump, where the residual stays large
     step = Scenario("step", lambda p2: lambda p1: np.where(p1 >= 0.5, 1.0, 0.0), 1, 1)
