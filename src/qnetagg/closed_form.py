@@ -11,16 +11,16 @@ double-precision roundoff.  The module is independent of :mod:`engine`, so
 the two check each other.
 
 ``ps6`` and ``ps15`` also take numpy arrays of probabilities.  Inputs and
-results follow the probability rule of :mod:`model`: every probability
-argument passes :func:`~qnetagg.model.check_probability` and every return
-value :func:`~qnetagg.model.clamp_roundoff`.
+results follow the rules of :mod:`model`: every code passes ``check_code``,
+every probability argument ``check_probability`` and every return value
+``clamp_roundoff``.
 """
 
 from __future__ import annotations
 
 from math import comb, exp, log
 
-from .model import QrsCode, check_probability, clamp_roundoff, photons_per_qudit
+from .model import QrsCode, check_code, check_probability, clamp_roundoff, photons_per_qudit
 
 
 class WithheldExceedsTolerance(ValueError):
@@ -77,6 +77,7 @@ def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
     The withheld qudits consume tolerance up front:
     sum_{j=0}^{d-k-l} C(d-l, j) P^(d-l-j) (1-P)^j.
     """
+    check_code(code)
     check_probability("p", p)
     if withheld < 0:
         raise ValueError("withheld must be non-negative")
@@ -99,6 +100,7 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
     logical qudit (2k - d = 1); other codes are rejected.  Terms whose loss
     count exceeds a block size are zero and skipped.
     """
+    check_code(code)
     check_probability("p_a", p_a)
     check_probability("p_b", p_b)
     if code.logical_qudits() != 1:

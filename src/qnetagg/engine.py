@@ -14,8 +14,8 @@ among closed qudits.  The cost follows the number of states, not 2^photons:
 paths and rings stay at a handful at any length, and
 :class:`ClusterTooLarge` is raised when a step would hold more than
 2^CLUSTER_STATE_BITS states (no cluster of at most 16 photons can).  The same
-arithmetic serves floats and Fractions; Fraction probabilities give exact
-results.
+arithmetic serves floats, Fractions (exact results) and numpy arrays of one
+shape, which give one pmf per entry, each equal to its scalar walk bit for bit.
 
 Layouts where every photon holds one qudit have a fast path,
 :func:`block_success`: qudits fail independently in blocks of equal
@@ -69,26 +69,33 @@ class Cluster:
 class LossDistribution:
     """Distribution of the total number of erased qudits.
 
-    ``pmf[i]`` is the probability that exactly ``offset + i`` qudits are
-    erased; ``offset`` equals the withheld count, so the support covers
-    ``offset .. offset + len(pmf) - 1`` and ``len(pmf) == d - withheld + 1``.
+    ``pmf[..., i]`` is the probability that exactly ``offset + i`` qudits
+    are erased; ``offset`` equals the withheld count, so the last axis has
+    ``d - withheld + 1`` entries.  Array channel probabilities give the
+    leading axes, one pmf per entry.
     """
 
-    pmf: tuple
+    pmf: np.ndarray
     offset: int = 0
 
+    def __eq__(self, other) -> bool:
+        """Same offset and pmf entries; ``==`` on two arrays has no truth value."""
+        return isinstance(other, LossDistribution) and (
+            self.offset == other.offset and np.array_equal(self.pmf, other.pmf)
+        )
+
     def probability_at_most(self, losses: int):
-        """P(total erased qudits <= losses), withheld included."""
+        """P(total erased qudits <= losses), withheld included, summed left to right."""
         upto = losses - self.offset
         if upto < 0:
             return 0.0
-        return sum(self.pmf[: upto + 1])
+        return np.cumsum(self.pmf[..., : upto + 1], axis=-1)[..., -1][()]
 
     def check(self, tol: float = 1e-12) -> None:
-        total = sum(self.pmf)
-        if any(x < -1e-15 for x in self.pmf):
+        total = self.pmf.sum(axis=-1)
+        if np.any(self.pmf < -1e-15):
             raise ArithmeticError("negative pmf entry beyond roundoff")
-        if abs(total - 1) > tol:
+        if np.any(abs(total - 1) > tol):
             raise ArithmeticError(f"pmf sums to {total}, not 1")
 
 
@@ -146,17 +153,21 @@ def _photon_order(qudits: dict[int, tuple[int, ...]]) -> list[int]:
     return order
 
 
-def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration):
-    """Loss pmf over this cluster's qudits (length ``len(qudits) + 1``).
+def _zeros(probabilities, length: int) -> np.ndarray:
+    """Zeros of a pmf over ``probabilities``: float64, or object for Fractions."""
+    lead = np.asarray(sum(probabilities))
+    return np.zeros(lead.shape + (length,), object if lead.dtype == object else float)
+
+
+def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.ndarray:
+    """Loss pmf over this cluster's qudits (last axis ``len(qudits) + 1``).
 
     A qudit is erased when any of its photons is lost.  The photons are
     walked in :func:`_photon_order`; a state is the bitmask of the open
     qudits (touched, last photon not yet walked) that are already erased,
     and maps to the pmf of the erased count among closed qudits.
     """
-    arrival = {
-        ch.id: ch.p if isinstance(ch.p, Fraction) else float(ch.p) for ch in config.channels
-    }
+    arrival = {ch.id: ch.p for ch in config.channels}
     qudits = {i: config.photons[i].qudits for i in cluster.photon_indices}
     order = _photon_order(qudits)
     last = {q: step for step, i in enumerate(order) for q in qudits[i]}
@@ -189,15 +200,20 @@ def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration):
                     acc[j] += weight * x
         states = walked
     (pmf,) = states.values()
-    return pmf + [0] * (len(cluster.qudit_indices) + 1 - len(pmf))
+    out = _zeros(arrival.values(), len(cluster.qudit_indices) + 1)
+    if out.ndim == 1:  # scalar probabilities: the list converts in one step
+        out[: len(pmf)] = pmf
+    else:  # arrays, possibly next to int zeros the walk never added to
+        for j, x in enumerate(pmf):
+            out[..., j] = x
+    return out
 
 
 def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
     """Exact distribution of erased qudits for a validated configuration."""
     validate(config)
     pmfs = (cluster_loss_pmf(cluster, config) for cluster in cluster_decompose(config))
-    pmf = np.asarray(reduce(np.convolve, pmfs, [1])).tolist()
-    return LossDistribution(tuple(pmf), offset=config.withheld)
+    return LossDistribution(reduce(_convolve_rows, pmfs), offset=config.withheld)
 
 
 def success_probability(config: MultiplexConfiguration):
@@ -209,8 +225,7 @@ def success_probability(config: MultiplexConfiguration):
 def brute_force(config: MultiplexConfiguration):
     """Independent oracle: one flat enumeration over all photons, no clustering.
 
-    Pattern weights are float64, or Python objects when any channel
-    probability is a Fraction, which keeps the result an exact Fraction.
+    Pattern weights take the walk's dtype, so Fractions give an exact Fraction.
     """
     validate(config)
     n = len(config.photons)
@@ -220,13 +235,12 @@ def brute_force(config: MultiplexConfiguration):
         )
     probs = config.photon_probabilities()
     budget = config.code.tolerance() - config.withheld
-    exact = any(isinstance(p, Fraction) for p in probs)
     masks = [0] * config.transmitted
     for i, ph in enumerate(config.photons):
         for q in ph.qudits:
             masks[q] |= 1 << i
     patterns = np.arange(1 << n, dtype=np.uint64)
-    weights = np.ones(1 << n, dtype=object if exact else float)
+    weights = np.ones(1 << n, dtype=_zeros(probs, 0).dtype)
     for i, p in enumerate(probs):
         bit = (patterns >> np.uint64(i)) & np.uint64(1)
         weights *= np.where(bit == 1, p, 1 - p)
@@ -234,8 +248,7 @@ def brute_force(config: MultiplexConfiguration):
     for mask in masks:
         m_u = np.uint64(mask)
         lost += ((patterns & m_u) != m_u).astype(np.int64)
-    total = weights[lost <= budget].sum()
-    return clamp_roundoff(total if exact else float(total))
+    return clamp_roundoff(weights[lost <= budget].sum())
 
 
 # --- fast path for block-uniform layouts --------------------------------------
@@ -283,15 +296,16 @@ def binomial_pmf(n: int, loss_probability) -> np.ndarray:
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution along the last axis, broadcast over the leading axes."""
+    """Convolution along the last axis, broadcast over the leading axes; each row
+    is :func:`numpy.convolve`'s, so an array entry equals its scalar evaluation."""
     if a.ndim == b.ndim == 1:
         return np.convolve(a, b)
-    if a.shape[-1] < b.shape[-1]:
-        a, b = b, a
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(lead + (a.shape[-1] + b.shape[-1] - 1,))
-    for j in range(b.shape[-1]):
-        out[..., j : j + a.shape[-1]] += a * b[..., j : j + 1]
+    n = a.shape[-1] + b.shape[-1] - 1
+    out = np.zeros(lead + (n,), np.result_type(a, b))
+    rows = (np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1]) for x in (a, b))
+    for row, x, y in zip(out.reshape(-1, n), *rows):
+        row[:] = np.convolve(x, y)
     return out
 
 

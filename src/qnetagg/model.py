@@ -153,7 +153,8 @@ def check_code(code: QrsCode) -> None:
 
 @dataclass(frozen=True)
 class Channel:
-    """A lossy channel: each photon sent through it arrives with probability ``p``."""
+    """A lossy channel: photons arrive with probability ``p``, a float, a Fraction
+    (exact results) or, for the engine's walk, a numpy array (one per entry)."""
 
     id: str
     p: float

@@ -70,8 +70,9 @@ class Scenario:
     qudits: int
 
     def evaluate(self, p1, p2):
-        """``P_S(p1, p2)``; ``ValueError`` for a ``p1`` outside [0, 1]."""
+        """``P_S(p1, p2)``; ``ValueError`` for a ``p1`` or ``p2`` outside [0, 1]."""
         check_probability("p1", p1)
+        check_probability("p2", p2)
         return self.at(p2)(p1)
 
     def describe(self) -> dict:

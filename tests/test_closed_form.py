@@ -99,6 +99,24 @@ def test_withheld_rejects_excess():
         ps_single_withheld(QrsCode(7, 4), 1, 0.9, 4)
 
 
+@pytest.mark.parametrize(
+    "code,named",
+    [(QrsCode(9, 5), "non-prime-d"), (QrsCode(5, 7), "k=7 outside"), (QrsCode(7, 3), "2k-d")],
+    ids=["non-prime", "k-above-d", "no-logical"],
+)
+def test_closed_forms_reject_invalid_codes(code, named):
+    # checked before anything else: no value for a non-prime d, and no
+    # complaint about withheld qudits nobody asked for
+    for call in (
+        lambda: ps_single(code, 1, 0.9),
+        lambda: ps_single_withheld(code, 1, 0.9, 0),
+        lambda: ps_two_channel(code, 1, 2, 0.9, 0.9),
+    ):
+        with pytest.raises(ValueError, match=named) as caught:
+            call()
+        assert not isinstance(caught.value, (WithheldExceedsTolerance, ToleranceMismatch))
+
+
 # --- ps_two_channel --------------------------------------------------------------
 
 

@@ -298,6 +298,54 @@ def test_brute_force_fraction_is_exact(rng):
         assert oracle == value
 
 
+def _at(config, probabilities):
+    """``config`` with its channel probabilities taken from ``probabilities``."""
+    channels = tuple(Channel(ch.id, probabilities[ch.id]) for ch in config.channels)
+    return MultiplexConfiguration(config.code, channels, config.photons, config.withheld)
+
+
+def test_array_probabilities_equal_scalar_calls(rng):
+    # one walk over arrays of probabilities gives, entry by entry, the
+    # scalar walk's pmf and P_S bit for bit
+    ring = tuple(Photon("ab"[i % 3 == 0], ((i, 2), ((i + 1) % 12, 2))) for i in range(12))
+    configs = [
+        MultiplexConfiguration(QrsCode(13, 7), (Channel("a", 0.5), Channel("b", 0.5)), ring, 1),
+        shared7_configuration(0.5, 0.5),
+    ]
+    configs += [random_configuration(rng, max_photons=12) for _ in range(30)]
+    assert sum(config.withheld > 0 for config in configs) >= 10
+    for config in configs:
+        grid = {c.id: np.array([rng.uniform(0.05, 1) for _ in range(5)]) for c in config.channels}
+        dist = loss_distribution(_at(config, grid))
+        dist.check()
+        success = success_probability(_at(config, grid))
+        assert dist.pmf.shape == (5, config.transmitted + 1) and success.shape == (5,)
+        for g in range(5):
+            scalar = _at(config, {cid: float(p[g]) for cid, p in grid.items()})
+            assert np.array_equal(dist.pmf[g], loss_distribution(scalar).pmf)
+            assert success[g] == success_probability(scalar)
+
+
+def test_result_types_follow_probabilities():
+    floats = shared7_configuration(0.9, 0.8)
+    exact = shared7_configuration(Fraction(9, 10), Fraction(4, 5))
+    # an array channel next to a scalar one broadcasts
+    grid = shared7_configuration(np.linspace(0.1, 1.0, 6).reshape(2, 3), 0.8)
+    assert loss_distribution(floats).pmf.dtype == np.float64
+    assert type(success_probability(floats)) is float and type(brute_force(floats)) is float
+    assert loss_distribution(exact).pmf.dtype == object
+    assert isinstance(brute_force(exact), Fraction)
+    assert brute_force(exact) == success_probability(exact)
+    assert loss_distribution(grid).pmf.shape == (2, 3, 8)
+    # equal distributions compare equal, arrays and all
+    for config in (floats, exact, grid):
+        assert loss_distribution(config) == loss_distribution(config)
+    assert loss_distribution(floats) != loss_distribution(shared7_configuration(0.9, 0.7))
+    values = success_probability(grid)
+    assert values.shape == (2, 3)
+    assert values[1, 2] == success_probability(shared7_configuration(1.0, 0.8))
+
+
 def test_convolution_order_invariance_exact(rng):
     # convolving cluster pmfs in any order gives identical results, exactly
     config = shared7_configuration(Fraction(7, 10), Fraction(9, 10))

@@ -362,7 +362,7 @@ def test_single_channel_scenario_is_two_channel_at_n_equals_d(code, q):
     }
 
 
-@pytest.mark.parametrize(
+every_scenario = pytest.mark.parametrize(
     "build",
     [
         lambda: planner.single_channel_scenario(D43, 1),
@@ -372,9 +372,21 @@ def test_single_channel_scenario_is_two_channel_at_n_equals_d(code, q):
     ],
     ids=["single", "two-channel", "shared7", "shared11"],
 )
+
+
+@every_scenario
 def test_evaluate_rejects_p1_outside_unit_interval(build):
     with pytest.raises(ValueError, match=r"p1=1.5 outside \[0, 1\]"):
         build().evaluate(1.5, 0.9)
+
+
+@every_scenario
+@pytest.mark.parametrize("p2", [-0.5, 1.5])
+def test_evaluate_rejects_p2_outside_unit_interval(build, p2):
+    # the block scenarios see only p2**m, so unchecked, -0.5 would give a
+    # value and 1.5 would be reported as survival=2.25
+    with pytest.raises(ValueError, match=rf"p2={p2} outside \[0, 1\]"):
+        build().evaluate(0.5, p2)
 
 
 def test_residual_check_raises():

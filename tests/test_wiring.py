@@ -2,12 +2,14 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from qnetagg import engine
 from qnetagg.closed_form import ps15
 from qnetagg.model import validate
 from qnetagg.wiring import (
+    PROBE_PAIRS,
     component_vertices,
     enumerate_wiring_classes,
     search_shared_photon_wiring,
@@ -130,3 +132,47 @@ def test_search_is_deterministic():
     a = search_shared_photon_wiring(seed=3)
     b = search_shared_photon_wiring(seed=3)
     assert a == b
+
+
+def probe_pairs(seed: int) -> list[tuple[float, float]]:
+    rng = random.Random(seed)
+    return [(rng.uniform(0.05, 0.999), rng.uniform(0.05, 0.999)) for _ in range(PROBE_PAIRS)]
+
+
+def scalar_deviation(components, seed: int) -> float:
+    """A class's score, one scalar walk per probe pair."""
+    return max(
+        abs(engine.success_probability(wiring_configuration(components, p1, p2)) - ps15(p1, p2))
+        for p1, p2 in probe_pairs(seed)
+    )
+
+
+def test_one_walk_per_class_equals_scalar_walks():
+    probe = probe_pairs(20260810)
+    p1, p2 = np.array(probe).T
+    for components in (CHERRY, (("cycle", 7),), (("path", 3), ("cycle", 4))):
+        values = engine.success_probability(wiring_configuration(components, p1, p2))
+        scalar = [
+            engine.success_probability(wiring_configuration(components, *pair)) for pair in probe
+        ]
+        assert values.tolist() == scalar
+        deviation = np.abs(values - ps15(p1, p2)).max()
+        assert deviation == pytest.approx(scalar_deviation(components, 20260810), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "seed,deviation",
+    [
+        (20260810, 0.06422494209786947),
+        (1, 0.0764835954375705),
+        (2, 0.07781059090927395),
+        (3, 0.07186430192601911),
+        (7, 0.07397865000143128),
+    ],
+)
+def test_search_keeps_the_per_pair_results(seed, deviation):
+    # best class and deviation found by walking one probe pair at a time
+    result = search_shared_photon_wiring(seed)
+    assert result.best == CHERRY and not result.found
+    assert result.best_deviation == pytest.approx(deviation, abs=1e-15)
+    assert result.best_deviation == scalar_deviation(CHERRY, seed)
