@@ -6,7 +6,10 @@ packet-level loss distribution is the convolution of per-cluster
 distributions; withheld qudits add a deterministic offset.
 
 Each cluster is evaluated exactly by one walk over its photons
-(frontier-based reliability, a form of bucket elimination).  Photons are
+(frontier-based reliability, a form of bucket elimination), and one
+:func:`loss_distribution` call walks each distinct cluster signature once:
+clusters of one shape on the same channels, such as the singleton qudits of
+a uniform layout, share one walk and its pmf.  Photons are
 taken greedily, next the one sharing the most qudits with those already
 touched.  A qudit is open from its first photon to its last; a state is the
 set of open qudits already erased and carries the pmf of the erased count
@@ -41,7 +44,8 @@ from math import comb, log
 import numpy as np
 
 from .model import (
-    MultiplexConfiguration, QrsCode, check_code, check_probability, clamp_roundoff, validate
+    MultiplexConfiguration, QrsCode, check_code, check_probability, check_scalar_channels,
+    clamp_roundoff, validate,
 )
 
 CLUSTER_STATE_BITS = 16
@@ -114,10 +118,10 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for ph in config.photons:
-        qs = ph.qudits
-        for other in qs[1:]:
-            union(qs[0], other)
+    for ph in config.photons:  # ``carries``, not the tuple ``qudits`` builds per access
+        (first, _), *rest = ph.carries
+        for other, _ in rest:
+            union(first, other)
 
     groups: dict[int, list[int]] = {}
     for qudit in range(config.transmitted):
@@ -125,7 +129,7 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
 
     photon_groups: dict[int, list[int]] = {root: [] for root in groups}
     for idx, ph in enumerate(config.photons):
-        photon_groups[find(ph.qudits[0])].append(idx)
+        photon_groups[find(ph.carries[0][0])].append(idx)
 
     return [
         Cluster(tuple(photon_groups[root]), tuple(groups[root]))
@@ -210,9 +214,27 @@ def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.nda
 
 
 def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
-    """Exact distribution of erased qudits for a validated configuration."""
+    """Exact distribution of erased qudits for a validated configuration.
+
+    Clusters of one signature (each photon's channel and its qudits by position
+    in the cluster, in photon order) take the same walk step for step, so each
+    signature is walked once and its pmf reused; the fold stays in cluster order.
+    """
     validate(config)
-    pmfs = (cluster_loss_pmf(cluster, config) for cluster in cluster_decompose(config))
+    photons = config.photons
+    walked: dict[tuple, np.ndarray] = {}
+
+    def pmf(cluster: Cluster) -> np.ndarray:
+        local = {q: i for i, q in enumerate(cluster.qudit_indices)}
+        key = tuple([
+            (photons[i].channel_id, tuple([local[q] for q, _ in photons[i].carries]))
+            for i in cluster.photon_indices
+        ])
+        if key not in walked:
+            walked[key] = cluster_loss_pmf(cluster, config)
+        return walked[key]
+
+    pmfs = map(pmf, cluster_decompose(config))
     return LossDistribution(reduce(_convolve_rows, pmfs), offset=config.withheld)
 
 
@@ -226,8 +248,10 @@ def brute_force(config: MultiplexConfiguration):
     """Independent oracle: one flat enumeration over all photons, no clustering.
 
     Pattern weights take the walk's dtype, so Fractions give an exact Fraction.
+    Channel probabilities must be scalars (:class:`~qnetagg.model.ArrayProbability`).
     """
     validate(config)
+    check_scalar_channels(config, "brute_force")
     n = len(config.photons)
     if n > BRUTE_FORCE_PHOTON_LIMIT:
         raise TooManyPhotons(

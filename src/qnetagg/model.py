@@ -6,8 +6,9 @@ at most ``d - k`` qudits are erased.  Each qudit is physically carried by
 qudit it carries a qubit of.  A configuration records which photon carries
 which qubits and which channel each photon travels through.
 
-The input and result rules of every module live here: :func:`check_code`
-and :func:`check_probability` for inputs, :func:`clamp_roundoff` for results.
+The input and result rules of every module live here: :func:`check_code`,
+:func:`check_probability` and :func:`check_scalar_channels` for inputs,
+:func:`clamp_roundoff` for results.
 
 All types are immutable; instances can be shared freely between threads.
 """
@@ -25,6 +26,10 @@ ROUNDOFF = 1e-12
 
 class SplitMismatch(ValueError):
     """Qudit counts of a channel split do not sum to the number sent."""
+
+
+class ArrayProbability(TypeError):
+    """An oracle that takes one probability per channel was given an array."""
 
 
 class InvalidConfiguration(ValueError):
@@ -71,6 +76,18 @@ def check_probability(name: str, value) -> None:
     number, a Fraction or every entry of a numpy array lies in [0, 1]."""
     for bad in _first_outside(value, 0, 1):
         raise ValueError(f"{name}={bad} outside [0, 1]")
+
+
+def check_scalar_channels(config: "MultiplexConfiguration", oracle: str) -> None:
+    """Raise :class:`ArrayProbability` naming the first channel whose ``p`` is
+    an array; ``oracle`` names the caller in the message."""
+    for ch in config.channels:
+        if np.ndim(ch.p) != 0:
+            raise ArrayProbability(
+                f"{oracle} takes one probability per channel, but channel {ch.id!r} has "
+                f"p of shape {np.shape(ch.p)}; evaluate arrays with "
+                "success_probability or loss_distribution"
+            )
 
 
 def clamp_roundoff(value):

@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from .model import MultiplexConfiguration, validate
+from .model import MultiplexConfiguration, check_scalar_channels, validate
 
 CHUNK = 1 << 16
 
@@ -43,12 +43,14 @@ class McEstimate:
 
 def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McEstimate:
     """Estimate success probability from ``samples`` independent trials;
-    ``ValueError`` for ``samples`` < 1 or a ``seed`` outside 0..2^128 - 1."""
+    ``ValueError`` for ``samples`` < 1 or a ``seed`` outside 0..2^128 - 1,
+    :class:`~qnetagg.model.ArrayProbability` for an array channel probability."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed={seed} outside 0..2**128-1")
     validate(config)
+    check_scalar_channels(config, "montecarlo.estimate")
     probs = np.array([float(p) for p in config.photon_probabilities()])
     budget = config.code.tolerance() - config.withheld
     n_photons = len(probs)

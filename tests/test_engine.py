@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from conftest import random_configuration
 from oracles import chain_loss_pmf, enumerate_success, pgf_loss_pmf, pgf_success
-from qnetagg import closed_form
+from qnetagg import closed_form, engine
 from qnetagg.engine import (
     BRUTE_FORCE_PHOTON_LIMIT,
     ClusterTooLarge,
     TooManyPhotons,
+    _convolve_rows,
     binomial_pmf,
     block_success,
     brute_force,
@@ -20,6 +22,7 @@ from qnetagg.engine import (
     success_probability,
 )
 from qnetagg.model import (
+    ArrayProbability,
     Channel,
     MultiplexConfiguration,
     Photon,
@@ -406,6 +409,135 @@ def test_block_success_matches_configuration_path():
         success_probability(config), abs=1e-12
     )
     assert block_success(code, blocks) == pytest.approx(0.9958, abs=5e-4)
+
+
+def test_brute_force_rejects_array_probabilities():
+    config = shared7_configuration(np.array([0.9, 0.8]), 0.95)
+    with pytest.raises(
+        ArrayProbability,
+        match=r"^brute_force .* channel 'ch1' has p of shape \(2,\); .* success_probability or loss_distribution$",
+    ):
+        brute_force(config)
+    # scalars and Fractions are unchanged
+    floats = shared7_configuration(0.9, 0.95)
+    assert brute_force(floats) == pytest.approx(closed_form.ps6(0.9, 0.95), abs=1e-12)
+    exact = shared7_configuration(Fraction(9, 10), Fraction(19, 20))
+    assert brute_force(exact) == success_probability(exact)
+
+
+# --- one walk per distinct cluster signature ------------------------------------
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The clusters :func:`loss_distribution` walks, in call order."""
+    walked = []
+    walk = engine.cluster_loss_pmf
+
+    def counting(cluster, config):
+        walked.append(cluster)
+        return walk(cluster, config)
+
+    monkeypatch.setattr(engine, "cluster_loss_pmf", counting)
+    return walked
+
+
+def _unmemoised(config):
+    """The fold of one walk per cluster, in cluster order."""
+    return reduce(_convolve_rows, [cluster_loss_pmf(c, config) for c in cluster_decompose(config)])
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_uniform_layout_walks_one_cluster_per_channel(walks):
+    config = uniform_configuration(
+        QrsCode(211, 106), 1, [(Channel("a", 0.92), 105), (Channel("b", 0.93), 106)]
+    )
+    dist = loss_distribution(config)
+    assert len(cluster_decompose(config)) == 211
+    assert [config.photons[c.photon_indices[0]].channel_id for c in walks] == ["a", "b"]
+    _assert_same_bits(dist.pmf, _unmemoised(config))
+
+
+def test_ring_and_singletons_walk_twice(walks):
+    # a ring of 19 photons over qudits 0..18 (2 + 3 qubits each), four singletons
+    ring = [Photon("a", ((i, 2), ((i + 1) % 19, 3))) for i in range(19)]
+    singles = [Photon("b", ((q, 5),)) for q in range(19, 23)]
+    channels = (Channel("a", 0.95), Channel("b", 0.9))
+    config = MultiplexConfiguration(QrsCode(23, 12), channels, tuple(ring + singles))
+    dist = loss_distribution(config)
+    assert sorted(len(c.photon_indices) for c in walks) == [1, 19]
+    _assert_same_bits(dist.pmf, _unmemoised(config))
+
+
+def _pairs(first: str, second: str) -> MultiplexConfiguration:
+    """Two clusters of one shape: qudits 0, 1 on channel ``first``, 2, 3 on ``second``."""
+    photons = []
+    for q, channel in ((0, first), (2, second)):
+        photons += [Photon(channel, ((q, 2), (q + 1, 1))), Photon(channel, ((q, 1), (q + 1, 2)))]
+    channels = (Channel("a", 0.9), Channel("b", 0.8))
+    return MultiplexConfiguration(QrsCode(5, 3), channels, tuple(photons), withheld=1)
+
+
+def test_channel_is_part_of_the_signature(walks):
+    loss_distribution(_pairs("a", "a"))
+    assert len(walks) == 1
+    walks.clear()
+    config = _pairs("a", "b")
+    dist = loss_distribution(config)
+    assert [c.qudit_indices for c in walks] == [(0, 1), (2, 3)]
+    _assert_same_bits(dist.pmf, _unmemoised(config))
+
+
+def test_photon_order_is_part_of_the_signature(walks):
+    # two 3-qudit paths; the second lists its photons in the other order
+    def path(q):
+        return [Photon("a", ((q, 3), (q + 1, 1))), Photon("a", ((q + 1, 2), (q + 2, 3)))]
+
+    channels = (Channel("a", 0.9),)
+    same = MultiplexConfiguration(QrsCode(7, 4), channels, tuple(path(0) + path(3)), withheld=1)
+    loss_distribution(same)
+    assert len(walks) == 1
+    walks.clear()
+    swapped = MultiplexConfiguration(
+        QrsCode(7, 4), channels, tuple(path(0) + path(3)[::-1]), withheld=1
+    )
+    dist = loss_distribution(swapped)
+    assert [c.qudit_indices for c in walks] == [(0, 1, 2), (3, 4, 5)]
+    _assert_same_bits(dist.pmf, _unmemoised(swapped))
+
+
+def test_memo_is_bit_identical_to_one_walk_per_cluster(rng, walks):
+    # floats, Fractions and arrays of probabilities; a third of the layouts repeat a cluster
+    repeated = 0
+    for _ in range(30):
+        config = random_configuration(rng, max_photons=14)
+        exact = {c.id: Fraction(round(c.p * 1000), 1000) for c in config.channels}
+        grid = {c.id: np.array([rng.uniform(0.05, 1) for _ in range(3)]) for c in config.channels}
+        for variant in (config, _at(config, exact), _at(config, grid)):
+            walks.clear()
+            got = loss_distribution(variant).pmf
+            repeated += len(walks) < len(cluster_decompose(variant))
+            _assert_same_bits(got, _unmemoised(variant))
+    assert repeated >= 15
+
+
+def test_no_memo_survives_a_call(rng):
+    # one layout shape at two probabilities: each call equals its own evaluation
+    for _ in range(10):
+        config = random_configuration(rng, max_photons=14)
+        first = _at(config, {c.id: rng.uniform(0.05, 1) for c in config.channels})
+        second = _at(config, {c.id: rng.uniform(0.05, 1) for c in config.channels})
+        a, b = loss_distribution(first).pmf, loss_distribution(second).pmf
+        assert a.tobytes() != b.tobytes()
+        _assert_same_bits(a, _unmemoised(first))
+        _assert_same_bits(b, _unmemoised(second))
 
 
 # --- block path: log-space pmf, arrays, large codes -------------------------------

@@ -1,8 +1,13 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from conftest import random_configuration
 from qnetagg import engine, montecarlo
-from qnetagg.model import Channel, QrsCode, shared7_configuration, uniform_configuration
+from qnetagg.model import (
+    ArrayProbability, Channel, QrsCode, shared7_configuration, uniform_configuration
+)
 
 
 def test_lossless_channel_is_certain():
@@ -96,3 +101,16 @@ def test_chunk_merge_is_order_free():
     est = montecarlo.estimate(config, montecarlo.CHUNK + 12345, seed=3)
     assert est.samples == montecarlo.CHUNK + 12345
     assert 0.9 < est.mean < 1.0
+
+
+def test_array_probabilities_rejected():
+    config = shared7_configuration(np.array([0.9, 0.8]), 0.95)
+    with pytest.raises(
+        ArrayProbability,
+        match=r"^montecarlo\.estimate .* channel 'ch1' .*; .* success_probability or loss_distribution$",
+    ):
+        montecarlo.estimate(config, 1000, seed=1)
+    # a Fraction draws the same samples as its float
+    floats = montecarlo.estimate(shared7_configuration(0.9, 0.95), 1000, seed=1)
+    exact = montecarlo.estimate(shared7_configuration(Fraction(9, 10), Fraction(19, 20)), 1000, seed=1)
+    assert floats == exact
