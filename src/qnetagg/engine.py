@@ -263,15 +263,17 @@ def brute_force(config: MultiplexConfiguration):
     for i, ph in enumerate(config.photons):
         for q in ph.qudits:
             masks[q] |= 1 << i
-    patterns = np.arange(1 << n, dtype=np.uint64)
-    weights = np.ones(1 << n, dtype=_zeros(probs, 0).dtype)
-    for i, p in enumerate(probs):
-        bit = (patterns >> np.uint64(i)) & np.uint64(1)
-        weights *= np.where(bit == 1, p, 1 - p)
-    lost = np.zeros(1 << n, dtype=np.int64)
+    # doubling keeps photon i at bit i of the pattern index and each weight's
+    # product in photon order: 1 * w_0 * w_1 * ...
+    weights = np.ones(1, dtype=_zeros(probs, 0).dtype)
+    for p in probs:
+        weights = np.concatenate((weights * (1 - p), weights * p))
+    # n <= BRUTE_FORCE_PHOTON_LIMIT photons fit a uint32 pattern and carry
+    # at most that many qudits
+    patterns = np.arange(1 << n, dtype=np.uint32)
+    lost = np.zeros(1 << n, dtype=np.uint8)
     for mask in masks:
-        m_u = np.uint64(mask)
-        lost += ((patterns & m_u) != m_u).astype(np.int64)
+        lost += (patterns & mask) != mask
     return clamp_roundoff(weights[lost <= budget].sum())
 
 

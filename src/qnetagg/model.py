@@ -261,10 +261,10 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
             out.append(
                 Violation("unknown-channel", f"photon {idx} uses channel {ph.channel_id!r}", idx)
             )
-        if ph.degree < 1:
-            out.append(Violation("bad-qubit-count", f"photon {idx} carries no qubits", idx))
+        mark, degree = len(out), 0  # summed here: the ``degree`` property re-sums per read
         seen: set[int] = set()
         for qudit, count in ph.carries:
+            degree += count
             if count < 1:
                 out.append(
                     Violation("bad-qubit-count", f"photon {idx}: qubit count {count} < 1", idx)
@@ -284,6 +284,8 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
                 )
             else:
                 qubit_totals[qudit] += count
+        if degree < 1:
+            out.insert(mark, Violation("bad-qubit-count", f"photon {idx} carries no qubits", idx))
 
     for qudit, total in enumerate(qubit_totals):
         if total != per_qudit:

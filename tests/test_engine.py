@@ -256,6 +256,34 @@ def test_brute_force_at_photon_limit_equals_engine():
     assert brute_force(config) == pytest.approx(success_probability(config), abs=1e-12)
 
 
+def _layout_of(rng: random.Random, n: int) -> MultiplexConfiguration:
+    """A random valid layout of exactly ``n`` photons: the qubits of the sent
+    qudits are dealt out so that each photon gets at least one."""
+    qubits: list[int] = []
+    while len(qubits) < n:
+        code = QrsCode(*rng.choice([(3, 2), (5, 3), (7, 4), (11, 9)]))
+        withheld = rng.randint(0, min(code.tolerance(), 2))
+        qubits = [q for q in range(code.d - withheld) for _ in range(code.qubits_per_qudit())]
+    rng.shuffle(qubits)
+    owner = list(range(n)) + [rng.randrange(n) for _ in qubits[n:]]
+    carries: list[dict[int, int]] = [{} for _ in range(n)]
+    for q, i in zip(qubits, owner):
+        carries[i][q] = carries[i].get(q, 0) + 1
+    channels = tuple(Channel(f"c{j}", rng.uniform(0.05, 1.0)) for j in range(rng.randint(1, 3)))
+    photons = tuple(Photon(rng.choice(channels).id, tuple(held.items())) for held in carries)
+    return MultiplexConfiguration(code, channels, photons, withheld)
+
+
+def test_brute_force_bit_identical_to_flat_enumeration(rng):
+    # the oracle multiplies each pattern's weights in photon order from 1, as
+    # brute_force does, so the floats agree exactly, not just within roundoff
+    for n in range(1, BRUTE_FORCE_PHOTON_LIMIT + 1):
+        for _ in range(3 if n <= 16 else 1):
+            config = _layout_of(rng, n)
+            assert len(config.photons) == n
+            assert brute_force(config) == enumerate_success(config)
+
+
 def test_brute_force_rejects_many_photons():
     config = uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.9), 7)])
     with pytest.raises(TooManyPhotons):

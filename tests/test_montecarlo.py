@@ -6,7 +6,8 @@ import pytest
 from conftest import random_configuration
 from qnetagg import engine, montecarlo
 from qnetagg.model import (
-    ArrayProbability, Channel, QrsCode, shared7_configuration, uniform_configuration
+    ArrayProbability, Channel, MultiplexConfiguration, QrsCode, shared7_configuration,
+    uniform_configuration,
 )
 
 
@@ -114,3 +115,55 @@ def test_array_probabilities_rejected():
     floats = montecarlo.estimate(shared7_configuration(0.9, 0.95), 1000, seed=1)
     exact = montecarlo.estimate(shared7_configuration(Fraction(9, 10), Fraction(19, 20)), 1000, seed=1)
     assert floats == exact
+
+
+@pytest.mark.parametrize(
+    "samples, seed, name",
+    [(10, 1.5, "seed"), (True, 0, "samples"), (10.0, 0, "samples"), (10, True, "seed"),
+     (10, "7", "seed")],
+    ids=["float-seed", "bool-samples", "float-samples", "bool-seed", "str-seed"],
+)
+def test_non_integer_arguments_rejected(samples, seed, name):
+    config = shared7_configuration(0.9, 0.95)
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, not "):
+        montecarlo.estimate(config, samples, seed=seed)
+
+
+def test_numpy_integer_arguments_accepted():
+    config = shared7_configuration(0.9, 0.95)
+    est = montecarlo.estimate(config, np.int64(1000), seed=np.uint32(3))
+    assert est == montecarlo.estimate(config, 1000, seed=3)
+    assert type(est.samples) is int and type(est.seed) is int and type(est.mean) is float
+
+
+@pytest.mark.parametrize("lost_qudits, mean", [(2, 1.0), (3, 0.0)])
+def test_certain_and_impossible_channels_give_exact_mean(lost_qudits, mean):
+    # p = 1 photons always arrive and p = 0 photons never do, at any word
+    code = QrsCode(5, 3)
+    split = [(Channel("on", 1.0), 5 - lost_qudits), (Channel("off", 0.0), lost_qudits)]
+    est = montecarlo.estimate(uniform_configuration(code, 1, split), montecarlo.CHUNK + 999, seed=4)
+    assert est.mean == mean and est.std_error == 0.0
+
+
+def test_fraction_draws_same_samples_as_its_float(rng):
+    for _ in range(4):
+        config = random_configuration(rng, max_photons=12)
+        channels = tuple(
+            Channel(c.id, Fraction(rng.randint(1, 2999), 3000)) for c in config.channels
+        )
+        exact = MultiplexConfiguration(config.code, channels, config.photons, config.withheld)
+        floats = MultiplexConfiguration(
+            config.code,
+            tuple(Channel(c.id, float(c.p)) for c in channels),
+            config.photons,
+            config.withheld,
+        )
+        assert montecarlo.estimate(exact, 20_000, seed=8) == montecarlo.estimate(
+            floats, 20_000, seed=8
+        )
+
+
+def test_pinned_success_count():
+    # any change to the draws or the arrival rule shows up here
+    est = montecarlo.estimate(shared7_configuration(0.9, 0.95), 300_000, seed=42)
+    assert round(est.mean * est.samples) == 298_307
