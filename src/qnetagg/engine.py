@@ -268,10 +268,10 @@ def brute_force(config: MultiplexConfiguration):
     weights = np.ones(1, dtype=_zeros(probs, 0).dtype)
     for p in probs:
         weights = np.concatenate((weights * (1 - p), weights * p))
-    # n <= BRUTE_FORCE_PHOTON_LIMIT photons fit a uint32 pattern and carry
-    # at most that many qudits
+    # n <= BRUTE_FORCE_PHOTON_LIMIT photons fit a uint32 pattern index; one
+    # photon may carry any number of qudits, so the loss count is sized by them
     patterns = np.arange(1 << n, dtype=np.uint32)
-    lost = np.zeros(1 << n, dtype=np.uint8)
+    lost = np.zeros(1 << n, dtype=np.min_scalar_type(config.transmitted))
     for mask in masks:
         lost += (patterns & mask) != mask
     return clamp_roundoff(weights[lost <= budget].sum())

@@ -9,7 +9,8 @@ reproducible bit for bit and a parallel runner merging per-chunk success
 counts in any order would obtain the identical result.
 
 A chunk of ``size`` trials takes ``n_photons * size`` raw 32-bit Philox
-words, one row of ``size`` words per photon.  A photon of arrival
+words, one row of ``size`` words per photon; each 64-bit Philox output
+gives its low half first, whatever the host's byte order.  A photon of arrival
 probability ``p`` arrives when its word is below ``round(p * 2**32)``, so
 it arrives with probability ``round(p * 2**32) / 2**32``: at most 2^-33
 (about 1.2e-10) from ``p``, exact at p = 0 and p = 1.  A qudit survives
@@ -87,7 +88,8 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
     while done < samples:
         size = min(CHUNK, samples - done)
         words = root.jumped(chunk_index).random_raw(-(-n_photons * size // 2))
-        rows = words.view(np.uint32)[: n_photons * size].reshape(n_photons, size)
+        rows = words.astype("<u8", copy=False).view("<u4")[: n_photons * size]
+        rows = rows.reshape(n_photons, size)
         arrived = [row < t for row, t in zip(rows, thresholds)]
         lost = np.zeros(size, dtype=np.min_scalar_type(config.transmitted))
         for photon_ids in per_qudit:  # a qudit is kept when all its photons arrive

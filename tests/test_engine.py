@@ -284,6 +284,20 @@ def test_brute_force_bit_identical_to_flat_enumeration(rng):
             assert brute_force(config) == enumerate_success(config)
 
 
+def test_brute_force_counts_losses_past_255_qudits():
+    # one photon carries 256 of the 257 qudits: losing it alone must fail the
+    # packet, so the loss count may not wrap at 8 bits
+    code = QrsCode(257, 257)
+    per = code.qubits_per_qudit()
+    channels = (Channel("a", 0.3), Channel("b", 0.6))
+    photons = (
+        Photon("a", tuple((q, per) for q in range(256))),
+        Photon("b", ((256, per),)),
+    )
+    config = MultiplexConfiguration(code, channels, photons)
+    assert brute_force(config) == enumerate_success(config) == 0.3 * 0.6
+
+
 def test_brute_force_rejects_many_photons():
     config = uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.9), 7)])
     with pytest.raises(TooManyPhotons):
