@@ -89,10 +89,12 @@ class LossDistribution:
         )
 
     def probability_at_most(self, losses: int):
-        """P(total erased qudits <= losses), withheld included, summed left to right."""
+        """P(total erased qudits <= losses), withheld included, summed left to right;
+        below ``offset``, zeros of the pmf's leading shape and dtype (an exact 0
+        for Fractions)."""
         upto = losses - self.offset
         if upto < 0:
-            return 0.0
+            return np.zeros_like(self.pmf[..., 0])[()]
         return np.cumsum(self.pmf[..., : upto + 1], axis=-1)[..., -1][()]
 
     def check(self, tol: float = 1e-12) -> None:

@@ -8,13 +8,21 @@ each driven by its own counter-based Philox stream derived from
 reproducible bit for bit and a parallel runner merging per-chunk success
 counts in any order would obtain the identical result.
 
-A chunk of ``size`` trials takes ``n_photons * size`` raw 32-bit Philox
-words, one row of ``size`` words per photon; each 64-bit Philox output
-gives its low half first, whatever the host's byte order.  A photon of arrival
-probability ``p`` arrives when its word is below ``round(p * 2**32)``, so
-it arrives with probability ``round(p * 2**32) / 2**32``: at most 2^-33
-(about 1.2e-10) from ``p``, exact at p = 0 and p = 1.  A qudit survives
-when every one of its photons arrives.
+Trials draw one word per *unit*, not per photon.  A qudit's private group
+(all its photons that carry no other qudit) is one unit: those photons
+erase only that qudit, so their independent arrivals combine into one that
+happens with the product of their ``p``, taken in floats in photon order so
+a Fraction layout draws what its float twin draws.  Each shared photon
+(carrying two or more qudits) is a unit of its own.  Units are numbered
+private groups first, in qudit order, then shared photons in photon order.
+
+A chunk of ``size`` trials takes ``n_units * size`` raw 32-bit Philox
+words, one row of ``size`` words per unit; each 64-bit Philox output gives
+its low half first, whatever the host's byte order.  A unit of arrival
+probability ``P`` arrives when its word is below ``round(P * 2**32)``, so
+it arrives with probability ``round(P * 2**32) / 2**32``: at most 2^-33
+(about 1.2e-10) from ``P`` per unit, exact at P = 0 and P = 1.  A qudit
+survives when every one of its units arrives.
 """
 
 from __future__ import annotations
@@ -71,15 +79,24 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
         raise ValueError(f"seed={seed} outside 0..2**128-1")
     validate(config)
     check_scalar_channels(config, "montecarlo.estimate")
-    thresholds = [round(float(p) * 2**32) for p in config.photon_probabilities()]
-    budget = config.code.tolerance() - config.withheld
-    n_photons = len(thresholds)
-
-    # Per-qudit photon lists for the loss count.
+    # Units as (arrival probability, qudits erased): private groups in qudit
+    # order, then shared photons in photon order.
+    private: dict[int, float] = {}
+    shared: list[tuple[float, tuple[int, ...]]] = []
+    for p, ph in zip(config.photon_probabilities(), config.photons):
+        if len(ph.carries) == 1:
+            q = ph.carries[0][0]
+            private[q] = private.get(q, 1.0) * float(p)
+        else:
+            shared.append((float(p), ph.qudits))
+    units = [(private[q], (q,)) for q in sorted(private)] + shared
+    thresholds = [round(p * 2**32) for p, _ in units]
     per_qudit: list[list[int]] = [[] for _ in range(config.transmitted)]
-    for i, ph in enumerate(config.photons):
-        for q in ph.qudits:
-            per_qudit[q].append(i)
+    for u, (_, qudits) in enumerate(units):
+        for q in qudits:
+            per_qudit[q].append(u)
+    budget = config.code.tolerance() - config.withheld
+    n_units = len(units)
 
     successes = 0
     root = np.random.Philox(key=seed)
@@ -87,13 +104,13 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
     chunk_index = 0
     while done < samples:
         size = min(CHUNK, samples - done)
-        words = root.jumped(chunk_index).random_raw(-(-n_photons * size // 2))
-        rows = words.astype("<u8", copy=False).view("<u4")[: n_photons * size]
-        rows = rows.reshape(n_photons, size)
+        words = root.jumped(chunk_index).random_raw(-(-n_units * size // 2))
+        rows = words.astype("<u8", copy=False).view("<u4")[: n_units * size]
+        rows = rows.reshape(n_units, size)
         arrived = [row < t for row, t in zip(rows, thresholds)]
         lost = np.zeros(size, dtype=np.min_scalar_type(config.transmitted))
-        for photon_ids in per_qudit:  # a qudit is kept when all its photons arrive
-            lost += ~reduce(np.logical_and, [arrived[i] for i in photon_ids])
+        for unit_ids in per_qudit:  # a qudit is kept when all its units arrive
+            lost += ~reduce(np.logical_and, [arrived[u] for u in unit_ids])
         successes += int(np.count_nonzero(lost <= budget))
         done += size
         chunk_index += 1

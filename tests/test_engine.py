@@ -191,6 +191,24 @@ def test_withheld_shifts_distribution():
     )
 
 
+@pytest.mark.parametrize(
+    "p", [0.9, np.array([0.9, 0.8]), Fraction(9, 10)], ids=["float", "array", "fraction"]
+)
+def test_probability_below_withheld_is_zero_of_the_pmf_kind(p):
+    # fewer losses than the 2 withheld qudits: zero, typed like the value at 2
+    dist = loss_distribution(
+        uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", p), 5)], withheld=2)
+    )
+    at_offset = dist.probability_at_most(2)
+    for losses in (1, 0, -3):
+        below = dist.probability_at_most(losses)
+        assert np.shape(below) == np.shape(at_offset) and np.all(below == 0)
+        if isinstance(at_offset, Fraction):
+            assert not isinstance(below, float)  # exact
+        else:
+            assert type(below) is type(at_offset) and below.dtype == at_offset.dtype
+
+
 def test_success_matches_single_channel_closed_form():
     for d, k in [(3, 2), (5, 3), (7, 4), (11, 6)]:
         for q in (1, 2, 3, 8):

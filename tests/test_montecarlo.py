@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from conftest import random_configuration
 from qnetagg import engine, montecarlo
 from qnetagg.model import (
-    ArrayProbability, Channel, MultiplexConfiguration, QrsCode, shared7_configuration,
-    uniform_configuration,
+    ArrayProbability, Channel, MultiplexConfiguration, Photon, QrsCode, photons_per_qudit,
+    shared7_configuration, uniform_configuration,
 )
 
 
@@ -166,4 +167,68 @@ def test_fraction_draws_same_samples_as_its_float(rng):
 def test_pinned_success_count():
     # any change to the draws or the arrival rule shows up here
     est = montecarlo.estimate(shared7_configuration(0.9, 0.95), 300_000, seed=42)
-    assert round(est.mean * est.samples) == 298_307
+    assert round(est.mean * est.samples) == 298_290
+
+
+def test_private_photons_draw_as_one_photon_per_qudit():
+    # a qudit's m private photons arrive together with probability p**m: the
+    # q = 1 layout draws the same samples as one photon per qudit at p**m
+    code = QrsCode(7, 4)
+    m = photons_per_qudit(code, 1)
+    split = [(0.93, 3), (0.81, 4)]
+    per_photon = uniform_configuration(code, 1, [(Channel(f"c{p}", p), n) for p, n in split])
+    per_qudit = uniform_configuration(
+        code, code.qubits_per_qudit(),
+        [(Channel(f"c{p}", math.prod([p] * m)), n) for p, n in split],
+    )
+    assert len(per_photon.photons) == m * len(per_qudit.photons)
+    assert montecarlo.estimate(per_photon, 50_000, seed=6) == montecarlo.estimate(
+        per_qudit, 50_000, seed=6
+    )
+
+
+def _split_private_layout(on: float, off: float) -> MultiplexConfiguration:
+    """d=5, k=3: qudits 0..2 each on two private photons, one per channel,
+    and qudits 3 and 4 on one private photon each in ``on``."""
+    photons = [Photon(ch, ((q, n),)) for q in range(3) for ch, n in (("on", 2), ("off", 1))]
+    photons += [Photon("on", ((q, 3),)) for q in (3, 4)]
+    return MultiplexConfiguration(
+        QrsCode(5, 3), (Channel("on", on), Channel("off", off)), tuple(photons)
+    )
+
+
+def test_private_group_with_an_impossible_photon_is_always_lost():
+    # 1.0 * 0.0 = 0: qudits 0..2 are lost in every trial, one past tolerance 2
+    est = montecarlo.estimate(_split_private_layout(1.0, 0.0), montecarlo.CHUNK + 999, seed=4)
+    assert est.mean == 0.0 and est.std_error == 0.0
+
+
+def _mixed_unit_layout(pa, pb) -> MultiplexConfiguration:
+    """d=5, k=3: qudit 0 has private photons in both channels plus a photon
+    it shares with qudit 1; qudits 1..4 also have private photons."""
+    photons = (
+        Photon("a", ((0, 1),)),
+        Photon("b", ((2, 3),)),
+        Photon("b", ((0, 1),)),
+        Photon("b", ((0, 1), (1, 1))),
+        Photon("a", ((1, 2),)),
+        Photon("a", ((3, 3),)),
+        Photon("b", ((4, 2),)),
+        Photon("a", ((4, 1),)),
+    )
+    return MultiplexConfiguration(QrsCode(5, 3), (Channel("a", pa), Channel("b", pb)), photons)
+
+
+def test_private_groups_beside_a_shared_photon_agree_with_engine():
+    config = _mixed_unit_layout(0.8, 0.7)
+    exact = engine.success_probability(config)
+    est = montecarlo.estimate(config, 400_000, seed=13)
+    assert est.agrees_with(exact, sigmas=4)
+
+
+def test_fraction_private_group_draws_same_samples_as_its_float():
+    exact = _mixed_unit_layout(Fraction(4, 5), Fraction(7, 10))
+    floats = _mixed_unit_layout(0.8, 0.7)
+    assert montecarlo.estimate(exact, 100_000, seed=2) == montecarlo.estimate(
+        floats, 100_000, seed=2
+    )
