@@ -2,12 +2,15 @@
 
 Candidate wirings are multigraphs: 7 degree-4 photons each spanning two
 qudits (edges), 8 degree-2 photons filling the remaining halves.  Up to
-isomorphism there are 40 such wirings.  The search scores each against the
-reference polynomial and reports the outcome: none matches exactly, because
-the reference form omits loss patterns whose erasures overlap (for example one
-shared photon plus four singles hitting only five distinct qudits).  The
-closest class is three "cherries" plus one isolated pair, which does match
-the reference triple-loss bookkeeping (C(7,3) - 20 = 15 survivable triples).
+isomorphism there are 40 such wirings.  The search reads each class's success
+polynomial as an integer count table (surviving loss patterns by arrivals per
+channel) and compares it with the reference polynomial's table, so the
+verdict is exact: none matches, because the reference form omits loss
+patterns whose erasures overlap (for example one shared photon plus four
+singles hitting only five distinct qudits).  The closest class, ranked by the
+table differences at seeded probe pairs, is three "cherries" plus one
+isolated pair, which does match the reference triple-loss bookkeeping
+(C(7,3) - 20 = 15 survivable triples, one entry of its table).
 """
 
 from qnetagg.wiring import (

@@ -28,9 +28,12 @@ at any d.  Survivals may be numpy arrays, which lets the planner evaluate a
 whole grid of channel qualities in one call; :func:`block_evaluator` builds
 all blocks but one once, for a caller that varies one block.
 
+A two-channel polynomial is also an integer table: :func:`count_table` reads it
+from one exact call, such as the walk's, and :func:`table_evaluator` sums it.
+
 Inputs follow the rules in :mod:`model` and are checked where they enter:
 :func:`block_success` checks the code and its survivals, :func:`block_evaluator`
-the code and the fixed blocks but not the varying survival.  Every result
+the code and the fixed blocks but not the varying survival.  Every probability
 passes :func:`~qnetagg.model.clamp_roundoff`.
 """
 
@@ -244,6 +247,39 @@ def success_probability(config: MultiplexConfiguration):
     """P(total erased qudits <= d - k), exact up to double-precision roundoff."""
     dist = loss_distribution(config)
     return clamp_roundoff(dist.probability_at_most(config.code.tolerance()))
+
+
+def count_table(evaluate, photons: tuple[int, int]) -> np.ndarray:
+    """Table ``T`` of ``evaluate(p1, p2)`` = sum T[a, b] p1^a (1-p1)^(n1-a) p2^b (1-p2)^(n2-b),
+    ``photons = (n1, n2)``: the surviving loss patterns by arrivals a, b per channel.  One
+    exact call reads it: at p = x/(1+x), (1+x1)^n1 (1+x2)^n2 P_S = sum T[a, b] x1^a x2^b,
+    so at x1 = B, x2 = B^(n1+1), B = 2^(n1+n2+1) > T its base-B digits are the entries;
+    ``ArithmeticError`` if it is no integer or has more digits."""
+    n1, n2 = photons
+    bits, size = n1 + n2 + 1, (n1 + 1) * (n2 + 1)
+    x1, x2 = 1 << bits, 1 << bits * (n1 + 1)
+    value = Fraction(evaluate(Fraction(x1, 1 + x1), Fraction(x2, 1 + x2)))
+    scaled = value * (1 + x1) ** n1 * (1 + x2) ** n2
+    if scaled.denominator != 1 or scaled.numerator >> bits * size:
+        raise ArithmeticError(f"P_S = {value} has no count table over {photons} photons")
+    digits = [scaled.numerator >> bits * i & x1 - 1 for i in range(size)]
+    return np.array(digits).reshape(n2 + 1, n1 + 1).T
+
+
+def _bernstein(coefficients, p):
+    """sum_j coefficients[..., j] p^j (1-p)^(n-j) over the last axis, j = 0..n."""
+    n = coefficients.shape[-1] - 1
+    up, down = [1], [1]
+    for _ in range(n):
+        up, down = up + [up[-1] * p], down + [down[-1] * (1 - p)]
+    return sum(coefficients[..., j] * up[j] * down[n - j] for j in range(n + 1))
+
+
+def table_evaluator(table: np.ndarray, p2):
+    """``p1 -> P_S`` of a :func:`count_table`, its ``p2`` sums taken once, for floats,
+    arrays of one shape or Fractions; unclamped, so a table difference works too."""
+    rows = _bernstein(table, np.asarray(p2)[..., None])
+    return lambda p1: _bernstein(rows, p1)
 
 
 def brute_force(config: MultiplexConfiguration):

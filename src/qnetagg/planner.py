@@ -10,7 +10,9 @@ once per chunk, then each step evaluates the ``p1`` part on numpy arrays,
 until float resolution or 60 steps.  :func:`solve_p1` is the same bisection
 on a one-point grid.
 
-Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  In the
+Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  The two
+shared-photon scenarios of the paper's Fig. 4 sum the integer count table of
+their polynomial (:func:`engine.count_table`), read once on first use.  In the
 two-channel uniform scenario the ``n``-qudit block travels in the adjustable
 channel (``p1``) and the remaining ``d - n`` qudits in the reference channel
 (``p2``); the closed-form anchor points are only consistent with that
@@ -28,12 +30,16 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import closed_form, engine
-from .model import QrsCode, check_code, check_probability, photons_per_qudit
+from .model import (
+    QrsCode, check_code, check_probability, clamp_roundoff, photons_per_qudit,
+    shared7_configuration,
+)
 
 DEFAULT_TARGET = 0.995
 DEFAULT_GRID = (0.3, 1.0, 0.002)
@@ -107,24 +113,32 @@ def two_channel_scenario(code: QrsCode, q: int, n: int) -> Scenario:
     )
 
 
+def _table_scenario(name: str, evaluate, photons: tuple[int, int], qudits: int) -> Scenario:
+    """A two-channel scenario summed from the count table of ``evaluate``."""
+    table = engine.count_table(evaluate, photons)
+
+    def at(p2):
+        success = engine.table_evaluator(table, p2)
+        return lambda p1: clamp_roundoff(success(p1))
+
+    return Scenario(name=name, at=at, photons=sum(photons), qudits=qudits)
+
+
+@lru_cache(maxsize=None)
 def shared_photon_7_scenario() -> Scenario:
-    """Six photons, seven qudits, one qudit spread over the better channel."""
-    return Scenario(
-        name="shared7",
-        at=lambda p2: lambda p1: closed_form.ps6(p1, p2),
-        photons=6,
-        qudits=7,
+    """Six photons, seven qudits, one qudit spread over the better channel:
+    the table of :func:`~qnetagg.model.shared7_configuration`'s walk."""
+    return _table_scenario(
+        "shared7", lambda a, b: engine.success_probability(shared7_configuration(a, b)), (3, 3), 7
     )
 
 
+@lru_cache(maxsize=None)
 def shared_photon_11_scenario() -> Scenario:
-    """Fifteen photons, eleven qudits, mixed multiplexing degrees."""
-    return Scenario(
-        name="shared11",
-        at=lambda p2: lambda p1: closed_form.ps15(p1, p2),
-        photons=15,
-        qudits=11,
-    )
+    """Fifteen photons, eleven qudits, mixed multiplexing degrees: the table
+    of the paper's polynomial :func:`~qnetagg.closed_form.ps15`, which no
+    wiring realises (:mod:`qnetagg.wiring`), so no layout can stand in."""
+    return _table_scenario("shared11", closed_form.ps15, (8, 7), 11)
 
 
 def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,11 @@ the isomorphism class of that multigraph, so candidates are enumerated as
 multisets of paths and cycles with 7 edges on at most 11 vertices (a
 two-vertex cycle is a doubled edge).
 
-``search_shared_photon_wiring`` compares every class against :func:`ps15` at
-random probability pairs, one frontier walk per class over arrays of all the
-pairs, and reports either the matching class or the closest miss
-(:func:`wiring_configuration` builds either at given probabilities, floats
+``search_shared_photon_wiring`` decides the match exactly: it compares each
+class's integer count table (:func:`engine.count_table`, one exact walk per
+class, built once per process) with that of :func:`ps15`, and ranks the
+closest miss by the table differences at random probability pairs
+(:func:`wiring_configuration` builds any class at given probabilities, floats
 or arrays).  A no-match outcome is a finding about the reference polynomial,
 not a failure of the search.
 """
@@ -21,7 +22,9 @@ not a failure of the search.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -35,7 +38,6 @@ FAMILY_CODE = QrsCode(11, 6)
 SHARED_PHOTONS = 7  # channel-2, degree 4, spanning two qudits
 SINGLE_PHOTONS = 8  # channel-1, degree 2, half of one qudit
 PROBE_PAIRS = 50  # random (p1, p2) pairs each class is scored at
-MATCH_TOL = 1e-10  # worst deviation from ps15 that still counts as a match
 
 Component = tuple[str, int]  # ("path", edges) or ("cycle", edges)
 
@@ -78,73 +80,42 @@ def wiring_configuration(components: Sequence[Component], p1, p2) -> MultiplexCo
     edges: list[tuple[int, int]] = []
     next_qudit = 0
     for kind, m in components:
-        if kind == "path":
-            verts = list(range(next_qudit, next_qudit + m + 1))
-            edges += [(verts[i], verts[i + 1]) for i in range(m)]
-        else:
-            verts = list(range(next_qudit, next_qudit + m))
-            if m == 2:
-                edges += [(verts[0], verts[1]), (verts[0], verts[1])]
-            else:
-                edges += [(verts[i], verts[(i + 1) % m]) for i in range(m)]
+        verts = list(range(next_qudit, next_qudit + component_vertices((kind, m))))
+        edges += [(verts[i], verts[(i + 1) % len(verts)]) for i in range(m)]
         next_qudit += len(verts)
     if next_qudit > d:
         raise ValueError("components use more qudits than the code has")
-
-    degree = [0] * d
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    if any(g > 2 for g in degree):
-        raise ValueError("a qudit has more than two shared-photon halves")
-
+    # paths and cycles on disjoint qudits cover each qudit at most twice
+    halves = Counter(q for edge in edges for q in edge)
     photons = [Photon("ch2", ((a, 2), (b, 2))) for a, b in edges]
-    for qudit in range(d):
-        for _ in range(2 - degree[qudit]):
-            photons.append(Photon("ch1", ((qudit, 2),)))
+    photons += [Photon("ch1", ((q, 2),)) for q in range(d) for _ in range(2 - halves[q])]
+    channels = (Channel("ch1", p1), Channel("ch2", p2))
+    return validate(MultiplexConfiguration(FAMILY_CODE, channels, tuple(photons), 0))
 
-    config = MultiplexConfiguration(
-        FAMILY_CODE,
-        (Channel("ch1", p1), Channel("ch2", p2)),
-        tuple(photons),
-        0,
+
+def _class_table(components: Sequence[Component]) -> np.ndarray:
+    """The class's :func:`engine.count_table` over (channel-1, channel-2) photons."""
+    shared = sum(m for _, m in components)
+    return engine.count_table(
+        lambda p1, p2: engine.success_probability(wiring_configuration(components, p1, p2)),
+        (2 * FAMILY_CODE.d - 2 * shared, shared),
     )
-    return validate(config)
 
 
 def three_matching_count(components: Sequence[Component]) -> int:
-    """Number of 3-subsets of channel-2 photons that erase six distinct qudits.
+    """Number of 3-subsets of channel-2 photons that erase six distinct qudits (the
+    multigraph's 3-matchings): C(n2, 3) less the count table's survivors of those
+    losses with every channel-1 photon arriving."""
+    table = _class_table(components)
+    shared = table.shape[1] - 1
+    return comb(shared, 3) - int(table[-1, shared - 3]) if shared >= 3 else 0
 
-    These are exactly the 3-matchings of the multigraph: coefficient
-    bookkeeping for the triple-loss term of the reference polynomial.
-    """
 
-    def matching_poly(component: Component) -> list[int]:
-        kind, m = component
-        if kind == "cycle" and m == 2:
-            return [1, 2]  # parallel edges share both vertices
-        counts = [1]
-        k = 1
-        while True:
-            if kind == "path":
-                c = comb(m - k + 1, k)
-            else:
-                c = m * comb(m - k - 1, k - 1) // k if m - k >= k else 0
-            if c == 0:
-                break
-            counts.append(c)
-            k += 1
-        return counts
-
-    total = [1]
-    for comp in components:
-        poly = matching_poly(comp)
-        new = [0] * (len(total) + len(poly) - 1)
-        for i, x in enumerate(total):
-            for j, y in enumerate(poly):
-                new[i + j] += x * y
-        total = new
-    return total[3] if len(total) > 3 else 0
+@lru_cache(maxsize=None)
+def _tables() -> tuple[dict[tuple[Component, ...], np.ndarray], np.ndarray]:
+    """Count tables of every class and of :func:`ps15`, built on the first search."""
+    classes = {c: _class_table(c) for c in enumerate_wiring_classes()}
+    return classes, engine.count_table(ps15, (SINGLE_PHOTONS, SHARED_PHOTONS))
 
 
 @dataclass(frozen=True)
@@ -169,18 +140,17 @@ class WiringSearchResult:
 def search_shared_photon_wiring(seed: int = 20260810) -> WiringSearchResult:
     """Compare every wiring class against the reference polynomial.
 
-    Each class is scored by its maximum absolute deviation from
-    :func:`ps15` over ``PROBE_PAIRS`` random probability pairs drawn from
-    ``seed``, in one frontier walk over arrays of all the pairs; the closest
-    class is returned as the match when it lies within ``MATCH_TOL``.
+    A class matches when its count table equals :func:`ps15`'s, an exact verdict.
+    The closest class has the smallest worst table difference over ``PROBE_PAIRS``
+    pairs drawn from ``seed``, and reports one array walk's deviation there.
     """
     rng = random.Random(seed)
     probe = [(rng.uniform(0.05, 0.999), rng.uniform(0.05, 0.999)) for _ in range(PROBE_PAIRS)]
     p1, p2 = np.array(probe).T
-    reference = np.array([ps15(*pair) for pair in probe])  # numpy's array pow may differ by an ulp
-    classes = enumerate_wiring_classes()
-    walks = (engine.success_probability(wiring_configuration(c, p1, p2)) for c in classes)
-    deviation = {c: float(abs(v - reference).max()) for c, v in zip(classes, walks)}
-    best = min(classes, key=deviation.__getitem__)
-    matched = best if deviation[best] <= MATCH_TOL else None
-    return WiringSearchResult(matched, len(classes), best, deviation[best])
+    tables, ref = _tables()
+    gap = {c: abs(engine.table_evaluator(t - ref, p2)(p1)).max() for c, t in tables.items()}
+    best = min(gap, key=gap.__getitem__)
+    matched = best if np.array_equal(tables[best], ref) else None
+    walk = engine.success_probability(wiring_configuration(best, p1, p2))
+    deviation = abs(walk - [ps15(*pair) for pair in probe]).max()  # array pow can be an ulp off
+    return WiringSearchResult(matched, len(tables), best, float(deviation))

@@ -36,6 +36,29 @@ def enumerate_success(config: MultiplexConfiguration) -> float:
     return float(weights[lost <= budget].sum())
 
 
+def pattern_counts(config: MultiplexConfiguration) -> np.ndarray:
+    """Surviving photon-arrival patterns of a two-channel layout, tallied by
+    arrivals: ``T[a, b]`` counts those with ``a`` arrivals on the first channel
+    of ``config.channels`` and ``b`` on the second (flat 2^N enumeration)."""
+    first, second = (ch.id for ch in config.channels)
+    n = len(config.photons)
+    budget = config.code.tolerance() - config.withheld
+    patterns = np.arange(1 << n, dtype=np.int64)  # bit i set: photon i arrived
+    masks = [0] * config.transmitted
+    for i, ph in enumerate(config.photons):
+        for q in ph.qudits:
+            masks[q] |= 1 << i
+    lost = sum(((patterns & mask) != mask).astype(np.int64) for mask in masks)
+    arrivals = {first: np.zeros_like(patterns), second: np.zeros_like(patterns)}
+    for i, ph in enumerate(config.photons):
+        arrivals[ph.channel_id] += (patterns >> i) & 1
+    on = [sum(ph.channel_id == c for ph in config.photons) for c in (first, second)]
+    table = np.zeros((on[0] + 1, on[1] + 1), dtype=np.int64)
+    survived = lost <= budget
+    np.add.at(table, (arrivals[first][survived], arrivals[second][survived]), 1)
+    return table
+
+
 def pgf_loss_pmf(loss_probs) -> np.ndarray:
     """Poisson-binomial pmf by iterative generating-function products."""
     pmf = np.array([1.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
-from oracles import chain_loss_pmf, enumerate_success, pgf_loss_pmf, pgf_success
+from oracles import chain_loss_pmf, enumerate_success, pattern_counts, pgf_loss_pmf, pgf_success
 from qnetagg import closed_form, engine
 from qnetagg.engine import (
     BRUTE_FORCE_PHOTON_LIMIT,
@@ -684,3 +684,64 @@ def test_block_success_broadcasts_a_float_block():
 def test_block_success_rejects_invalid_input(code, blocks, named):
     with pytest.raises(ValueError, match=named):
         block_success(code, blocks)
+
+
+# --- count tables --------------------------------------------------------------
+
+
+def walk_table(build, photons):
+    """:func:`engine.count_table` of the walk over ``build(p1, p2)``."""
+    return engine.count_table(lambda p1, p2: success_probability(build(p1, p2)), photons)
+
+
+def two_channel_layout(rng: random.Random) -> MultiplexConfiguration:
+    """A seeded layout of at most 14 photons, each photon moved to channel a or b."""
+    config = random_configuration(rng, max_photons=14)
+    photons = tuple(Photon(rng.choice("ab"), ph.carries) for ph in config.photons)
+    channels = (Channel("a", 0.5), Channel("b", 0.5))
+    return MultiplexConfiguration(config.code, channels, photons, config.withheld)
+
+
+def test_count_table_equals_pattern_counts_on_seeded_layouts(rng):
+    for _ in range(30):
+        config = two_channel_layout(rng)
+        on = tuple(sum(ph.channel_id == c for ph in config.photons) for c in "ab")
+
+        def build(p1, p2, config=config):
+            return MultiplexConfiguration(
+                config.code, (Channel("a", p1), Channel("b", p2)), config.photons, config.withheld
+            )
+
+        table = walk_table(build, on)
+        assert table.shape == (on[0] + 1, on[1] + 1)
+        assert np.array_equal(table, pattern_counts(config))
+
+
+def test_count_table_of_ps6_is_the_shared7_table():
+    table = walk_table(shared7_configuration, (3, 3))
+    assert np.array_equal(table, pattern_counts(shared7_configuration(0.5, 0.5)))
+    assert np.array_equal(engine.count_table(closed_form.ps6, (3, 3)), table)
+    assert np.count_nonzero(table) == 7
+
+
+def test_count_table_rejects_what_is_no_table():
+    with pytest.raises(ArithmeticError):
+        engine.count_table(lambda p1, p2: p1 / 3, (1, 1))
+    with pytest.raises(ArithmeticError):  # integral, but with digits beyond the table
+        engine.count_table(lambda p1, p2: 2**40, (1, 1))
+    with pytest.raises(ArithmeticError):  # no count is negative
+        engine.count_table(lambda p1, p2: -p1, (1, 1))
+
+
+def test_table_evaluator_takes_floats_arrays_and_fractions(rng):
+    table = walk_table(shared7_configuration, (3, 3))
+    for _ in range(20):
+        p1, p2 = rng.random(), rng.random()
+        value = engine.table_evaluator(table, p2)(p1)
+        assert value == pytest.approx(closed_form.ps6(p1, p2), abs=1e-15)
+    p1 = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    values = engine.table_evaluator(table, 0.8 * np.ones((3, 4)))(p1)
+    assert values.shape == (3, 4)
+    assert values.tolist() == [[engine.table_evaluator(table, 0.8)(x) for x in row] for row in p1]
+    exact = engine.table_evaluator(table, Fraction(4, 5))(Fraction(7, 10))
+    assert exact == closed_form.ps6(Fraction(7, 10), Fraction(4, 5))

@@ -1,11 +1,12 @@
 import io
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import bisect_60, enumerate_success, exhaustive_allocation, pgf_success
-from qnetagg import engine, planner
+from qnetagg import closed_form, engine, planner
 from qnetagg.model import (
     Channel,
     QrsCode,
@@ -544,3 +545,43 @@ def test_allocate_evaluates_few_candidates(monkeypatch):
     assert len(calls) < 100
     monkeypatch.setattr(engine, "block_success", evaluate)
     assert (result.code, result.split, result.achieved) == exhaustive_allocation(problem, 0.99)
+
+
+# --- shared-photon scenarios from count tables -----------------------------------
+
+table_scenarios = pytest.mark.parametrize(
+    "build,polynomial",
+    [
+        (planner.shared_photon_7_scenario, closed_form.ps6),
+        (planner.shared_photon_11_scenario, closed_form.ps15),
+    ],
+    ids=["shared7", "shared11"],
+)
+
+
+@table_scenarios
+def test_table_scenario_equals_its_polynomial(build, polynomial):
+    scenario = build()
+    rng = random.Random(44)
+    for _ in range(20):
+        p1, p2 = Fraction(rng.randrange(101), 100), Fraction(rng.randrange(101), 100)
+        assert scenario.evaluate(p1, p2) == polynomial(p1, p2)
+    p1, p2 = np.array([[rng.random() for _ in range(40)] for _ in range(2)])
+    assert np.abs(scenario.evaluate(p1, p2) - polynomial(p1, p2)).max() <= 1e-15
+    assert scenario.evaluate(1.0, 1.0) == 1.0
+
+
+@table_scenarios
+def test_table_scenario_reads_its_table_once(build, polynomial, monkeypatch):
+    assert build() is build()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return polynomial(*args)
+
+    monkeypatch.setattr(closed_form, polynomial.__name__, counted)
+    sweep_curve(build.__wrapped__(), grid_points(*planner.DEFAULT_GRID))
+    # shared7 is read from its layout's walk; shared11 reads ps15 once, exactly
+    assert len(calls) == (0 if polynomial.__name__ == "ps6" else 1)
+    assert all(isinstance(p, Fraction) for args in calls for p in args)

@@ -5,11 +5,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from qnetagg import engine
+from oracles import pattern_counts
+from qnetagg import engine, wiring
 from qnetagg.closed_form import ps15
 from qnetagg.model import validate
 from qnetagg.wiring import (
     PROBE_PAIRS,
+    SHARED_PHOTONS,
+    SINGLE_PHOTONS,
     component_vertices,
     enumerate_wiring_classes,
     search_shared_photon_wiring,
@@ -176,3 +179,49 @@ def test_search_keeps_the_per_pair_results(seed, deviation):
     assert result.best == CHERRY and not result.found
     assert result.best_deviation == pytest.approx(deviation, abs=1e-15)
     assert result.best_deviation == scalar_deviation(CHERRY, seed)
+
+
+# --- count tables --------------------------------------------------------------
+
+
+def ps15_table():
+    return engine.count_table(ps15, (SINGLE_PHOTONS, SHARED_PHOTONS))
+
+
+@pytest.mark.parametrize("components", [CHERRY, (("cycle", 7),), (("path", 3), ("cycle", 4))])
+def test_class_table_equals_pattern_counts(components):
+    config = wiring_configuration(components, 0.5, 0.5)
+    assert np.array_equal(wiring._class_table(components), pattern_counts(config))
+
+
+def test_ps15_table_facts():
+    table = ps15_table()
+    assert table.shape == (SINGLE_PHOTONS + 1, SHARED_PHOTONS + 1)
+    assert np.count_nonzero(table) == 15
+    # the three corrected coefficients: C(7,3) - 20, _C15_22 and _C15_31
+    assert (table[8, 4], table[6, 5], table[7, 4]) == (15, 348, 72)
+
+
+def test_no_class_table_equals_ps15s():
+    reference = ps15_table()
+    tables, ref = wiring._tables()
+    assert np.array_equal(ref, reference)
+    assert len(tables) == 40
+    assert not any(np.array_equal(t, reference) for t in tables.values())
+
+
+def test_search_verdict_is_exact_table_equality(monkeypatch):
+    # a reference polynomial some class does realise is found as that class
+    target = (("path", 3), ("cycle", 4))
+    monkeypatch.setattr(
+        wiring,
+        "ps15",
+        lambda p1, p2: engine.success_probability(wiring_configuration(target, p1, p2)),
+    )
+    wiring._tables.cache_clear()
+    try:
+        result = search_shared_photon_wiring()
+    finally:
+        wiring._tables.cache_clear()
+    assert result.found and result.matched == target == result.best
+    assert result.best_deviation == 0.0
