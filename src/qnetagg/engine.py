@@ -5,20 +5,23 @@ The photon-qudit incidence graph splits into connected components
 packet-level loss distribution is the convolution of per-cluster
 distributions; withheld qudits add a deterministic offset.
 
-Each cluster is evaluated exactly by one walk over its photons
-(frontier-based reliability, a form of bucket elimination), and one
-:func:`loss_distribution` call walks each distinct cluster signature once:
-clusters of one shape on the same channels, such as the singleton qudits of
-a uniform layout, share one walk and its pmf.  Photons are
+The pass that groups a cluster's photons also builds its signature: per
+photon, its channel and its qudits by position in the cluster.  Each cluster
+is evaluated exactly by one walk over its signature (frontier-based
+reliability, a form of bucket elimination), and one
+:func:`loss_distribution` call walks each distinct signature once: clusters
+of one shape on the same channels, such as the singleton qudits of a uniform
+layout, share one walk and its pmf, keyed on the signature.  Photons are
 taken greedily, next the one sharing the most qudits with those already
 touched.  A qudit is open from its first photon to its last; a state is the
 set of open qudits already erased and carries the pmf of the erased count
 among closed qudits.  The cost follows the number of states, not 2^photons:
 paths and rings stay at a handful at any length, and
 :class:`ClusterTooLarge` is raised when a step would hold more than
-2^CLUSTER_STATE_BITS states (no cluster of at most 16 photons can).  The same
-arithmetic serves floats, Fractions (exact results) and numpy arrays of one
-shape, which give one pmf per entry, each equal to its scalar walk bit for bit.
+2^CLUSTER_STATE_BITS states (no cluster of at most 16 photons can).  The
+same arithmetic serves floats, Fractions (exact results) and numpy arrays of
+one shape, which give one pmf per entry, each equal to its scalar walk bit
+for bit.
 
 Layouts where every photon holds one qudit have a fast path,
 :func:`block_success`: qudits fail independently in blocks of equal
@@ -32,9 +35,9 @@ A two-channel polynomial is also an integer table: :func:`count_table` reads it
 from one exact call, such as the walk's, and :func:`table_evaluator` sums it.
 
 Inputs follow the rules in :mod:`model` and are checked where they enter:
-:func:`block_success` checks the code and its survivals, :func:`block_evaluator`
-the code and the fixed blocks but not the varying survival.  Every probability
-passes :func:`~qnetagg.model.clamp_roundoff`.
+:func:`block_success` checks the code, counts and survivals, :func:`block_evaluator`
+all but the varying survival.  Every probability passes
+:func:`~qnetagg.model.clamp_roundoff`.
 """
 
 from __future__ import annotations
@@ -66,10 +69,15 @@ class TooManyPhotons(ValueError):
 
 @dataclass(frozen=True)
 class Cluster:
-    """A connected component of the photon-qudit incidence graph."""
+    """A connected component of the photon-qudit incidence graph.
+
+    ``signature`` is all the walk reads: per photon of ``photon_indices``, its
+    channel id and its qudits by position in ``qudit_indices``.  Clusters of one
+    signature take the same walk step for step, wherever their qudits sit."""
 
     photon_indices: tuple[int, ...]
     qudit_indices: tuple[int, ...]
+    signature: tuple[tuple[str, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ class LossDistribution:
 
 
 def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
-    """Connected components, ordered by smallest member qudit index."""
+    """Connected components and their signatures, by smallest member qudit."""
     parent = list(range(config.transmitted))
 
     def find(a: int) -> int:
@@ -128,28 +136,28 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
         for other, _ in rest:
             union(first, other)
 
-    groups: dict[int, list[int]] = {}
+    clusters: dict[int, tuple[list, list, list]] = {}  # root: photons, qudits, signature
+    home, position = [], []  # per qudit: its cluster's lists, its position in them
     for qudit in range(config.transmitted):
-        groups.setdefault(find(qudit), []).append(qudit)
-
-    photon_groups: dict[int, list[int]] = {root: [] for root in groups}
+        members = clusters.setdefault(find(qudit), ([], [], []))
+        home.append(members)
+        position.append(len(members[1]))
+        members[1].append(qudit)
     for idx, ph in enumerate(config.photons):
-        photon_groups[find(ph.carries[0][0])].append(idx)
-
-    return [
-        Cluster(tuple(photon_groups[root]), tuple(groups[root]))
-        for root in sorted(groups)
-    ]
+        photons, _, signature = home[ph.carries[0][0]]
+        photons.append(idx)
+        signature.append((ph.channel_id, tuple([position[q] for q, _ in ph.carries])))
+    return [Cluster(*map(tuple, clusters[root])) for root in sorted(clusters)]
 
 
-def _photon_order(qudits: dict[int, tuple[int, ...]]) -> list[int]:
-    """Greedy walk order over ``{photon index: its qudits}``: next the photon
-    sharing the most qudits with those already touched, ties in config order."""
+def _photon_order(qudits: list[tuple[int, ...]]) -> list[int]:
+    """Greedy walk order over the photons' qudits, by photon position: next the
+    photon sharing the most qudits with those already touched, ties in config order."""
     holders: dict[int, list[int]] = {}
-    for i, qs in qudits.items():
+    for i, qs in enumerate(qudits):
         for q in qs:
             holders.setdefault(q, []).append(i)
-    shared = dict.fromkeys(sorted(qudits), 0)  # touched qudits per remaining photon
+    shared = dict.fromkeys(range(len(qudits)), 0)  # touched qudits per remaining photon
     order = []
     while shared:
         best = max(shared, key=shared.__getitem__)
@@ -171,18 +179,20 @@ def _zeros(probabilities, length: int) -> np.ndarray:
 def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.ndarray:
     """Loss pmf over this cluster's qudits (last axis ``len(qudits) + 1``).
 
-    A qudit is erased when any of its photons is lost.  The photons are
-    walked in :func:`_photon_order`; a state is the bitmask of the open
-    qudits (touched, last photon not yet walked) that are already erased,
-    and maps to the pmf of the erased count among closed qudits.
+    The walk reads only the cluster's signature and the channel probabilities
+    of ``config``.  A qudit is erased when any of its photons is lost.  The
+    photons are walked in :func:`_photon_order`; a state is the bitmask, over
+    positions in the cluster, of the open qudits (touched, last photon not yet
+    walked) that are already erased, and maps to the pmf of the erased count
+    among closed qudits.
     """
     arrival = {ch.id: ch.p for ch in config.channels}
-    qudits = {i: config.photons[i].qudits for i in cluster.photon_indices}
+    qudits = [positions for _, positions in cluster.signature]
     order = _photon_order(qudits)
     last = {q: step for step, i in enumerate(order) for q in qudits[i]}
     states = {0: [1]}
     for step, i in enumerate(order):
-        p = arrival[config.photons[i].channel_id]
+        p = arrival[cluster.signature[i][0]]
         hit = sum(1 << q for q in qudits[i])
         closing = sum(1 << q for q in qudits[i] if last[q] == step)
         walked: dict[int, list] = {}
@@ -210,34 +220,24 @@ def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.nda
         states = walked
     (pmf,) = states.values()
     out = _zeros(arrival.values(), len(cluster.qudit_indices) + 1)
-    if out.ndim == 1:  # scalar probabilities: the list converts in one step
-        out[: len(pmf)] = pmf
-    else:  # arrays, possibly next to int zeros the walk never added to
-        for j, x in enumerate(pmf):
-            out[..., j] = x
+    for j, x in enumerate(pmf):  # arrays may sit next to int zeros the walk never added to
+        out[..., j] = x
     return out
 
 
 def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
     """Exact distribution of erased qudits for a validated configuration.
 
-    Clusters of one signature (each photon's channel and its qudits by position
-    in the cluster, in photon order) take the same walk step for step, so each
-    signature is walked once and its pmf reused; the fold stays in cluster order.
+    Each distinct :attr:`Cluster.signature` is walked once and its pmf reused;
+    the fold stays in cluster order.
     """
     validate(config)
-    photons = config.photons
     walked: dict[tuple, np.ndarray] = {}
 
     def pmf(cluster: Cluster) -> np.ndarray:
-        local = {q: i for i, q in enumerate(cluster.qudit_indices)}
-        key = tuple([
-            (photons[i].channel_id, tuple([local[q] for q, _ in photons[i].carries]))
-            for i in cluster.photon_indices
-        ])
-        if key not in walked:
-            walked[key] = cluster_loss_pmf(cluster, config)
-        return walked[key]
+        if cluster.signature not in walked:
+            walked[cluster.signature] = cluster_loss_pmf(cluster, config)
+        return walked[cluster.signature]
 
     pmfs = map(pmf, cluster_decompose(config))
     return LossDistribution(reduce(_convolve_rows, pmfs), offset=config.withheld)
@@ -383,7 +383,7 @@ def block_success(code: QrsCode, blocks):
     Survivals may be floats or numpy arrays of one shape (they broadcast);
     the result is then a float or an array of that shape.  Fraction
     survivals give an exact Fraction.  Raises ``ValueError`` for a survival
-    outside [0, 1] or an invalid code.
+    outside [0, 1], an invalid code, a negative count or counts above d.
     """
     # a stable sort puts empty blocks first, so the last block with qudits varies
     *fixed, (count, survival) = sorted(blocks, key=lambda block: block[0] > 0) or [(0, 1.0)]
@@ -395,10 +395,16 @@ def block_evaluator(code: QrsCode, fixed, count: int):
     """:func:`block_success` as ``success(survival)`` of a varying block of
     ``count`` qudits, its survival unchecked.  The code and the ``fixed``
     blocks are checked and convolved once, and the CDF entries the tail
-    sum_i pmf[i] * CDF[budget - i] reads are gathered once."""
+    sum_i pmf[i] * CDF[budget - i] reads are gathered once.  ``ValueError``
+    names a block whose count is negative or brings the total above d."""
     check_code(code)
     for _, survival in fixed:
         check_probability("survival", survival)
+    total = 0
+    for n in [n for n, _ in fixed] + [count]:
+        total += n
+        if n < 0 or total > code.d:
+            raise ValueError(f"block of {n} qudits: counts must be >= 0 and total <= d={code.d}")
     budget = code.tolerance()
     pmfs = [binomial_pmf(n, 1 - P) for n, P in fixed if n]
     cdf = np.cumsum(reduce(_convolve_rows, pmfs), axis=-1) if pmfs else np.ones(1, dtype=int)

@@ -229,8 +229,9 @@ class ThresholdCurve:
 
 
 def grid_points(lo: float, hi: float, step: float) -> list[float]:
-    """``lo, lo + step, ...`` up to ``hi``; ``ValueError`` for a bound or step
-    that is not finite, or not ascending, or over ``MAX_GRID_POINTS`` points."""
+    """``lo, lo + step, ...`` up to ``hi``, a point past it by roundoff taken as
+    ``hi``; ``ValueError`` for a bound or step that is not finite, or not
+    ascending, or over ``MAX_GRID_POINTS`` points."""
     if not np.isfinite([lo, hi, step]).all():
         raise ValueError(f"grid {lo}:{hi}:{step} must be finite")
     if step <= 0 or hi < lo:
@@ -240,7 +241,7 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError(f"grid {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
     n = int(round(span))
     pts = [lo + i * step for i in range(n + 1)]
-    return [p for p in pts if p <= hi + 1e-12]
+    return [min(p, hi) for p in pts if p <= hi + 1e-12]
 
 
 def sweep_curve(
@@ -312,7 +313,9 @@ def _allocation_success(problem: AllocationProblem, code: QrsCode, split) -> flo
 def _check_problem(problem: AllocationProblem, target: float) -> None:
     """Raise ``ValueError`` naming the first entry of the problem that is invalid."""
     check_probability("target", target)
-    for ch in problem.channels:
+    for j, ch in enumerate(problem.channels):
+        if ch.id in [other.id for other in problem.channels[:j]]:
+            raise ValueError(f"channel {ch.id!r}: id appears more than once")
         check_probability(f"channel {ch.id!r}: p", ch.p)
         if ch.capacity < 0:
             raise ValueError(f"channel {ch.id!r}: capacity {ch.capacity} is negative")

@@ -238,6 +238,22 @@ def test_sweep_range_errors_exit_2(flags):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--fig4a", "--grid", "0.09:1.0:0.07"],
+        ["--single", "--d", "7", "--k", "4", "--q", "3", "--grid", "0.116:1:0.017"],
+    ],
+    ids=["fig4a", "single"],
+)
+def test_sweep_grid_ending_at_one_exit_0(flags):
+    # the grid's last point lands one ulp above 1 and is taken as 1
+    result = run_cli(["sweep", *flags])
+    assert result.returncode == 0, result.stderr
+    rows = [line for line in result.stdout.splitlines() if line and line[0] not in "#p"]
+    assert rows[-1].startswith("1.000000,")
+
+
+@pytest.mark.parametrize(
     "grid,named",
     [("0:inf:0.1", "must be finite"), ("0:1:1e-12", "more than 1000000 points")],
     ids=["infinite", "too-many-points"],
@@ -265,6 +281,17 @@ def test_allocate_invalid_document_exit_2(tmp_path, channel, code, named):
     result = run_cli(["allocate", str(path)])
     assert result.returncode == 2
     assert named in result.stderr
+
+
+def test_allocate_repeated_channel_id_exit_2(tmp_path):
+    channels = [{"id": "a", "p": 0.93, "capacity": 5}, {"id": "a", "p": 0.95, "capacity": 5}]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"channels": channels, "codes": [{"d": 7, "k": 4}], "q": 1}))
+    result = run_cli(["allocate", str(path), "--target", "0.9"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert "channel 'a': id appears more than once" in line
 
 
 def test_allocate_missing_key_exit_2(tmp_path):

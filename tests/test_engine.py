@@ -600,6 +600,56 @@ def test_no_memo_survives_a_call(rng):
         _assert_same_bits(b, _unmemoised(second))
 
 
+# --- cluster signatures --------------------------------------------------------
+
+
+def test_signature_is_channel_and_local_positions_per_photon(rng):
+    for _ in range(30):
+        config = random_configuration(rng)
+        for cluster in cluster_decompose(config):
+            want = tuple(
+                (
+                    config.photons[i].channel_id,
+                    tuple(cluster.qudit_indices.index(q) for q in config.photons[i].qudits),
+                )
+                for i in cluster.photon_indices
+            )
+            assert cluster.signature == want
+
+
+def _ring_at(start: int) -> MultiplexConfiguration:
+    """A 19-photon ring on qudits ``start .. start + 18`` of d=23, singletons elsewhere."""
+    ring = [Photon("a", ((start + i, 2), (start + (i + 1) % 19, 3))) for i in range(19)]
+    singles = [Photon("b", ((q, 5),)) for q in range(23) if not start <= q < start + 19]
+    channels = (Channel("a", 0.95), Channel("b", 0.9))
+    return MultiplexConfiguration(QrsCode(23, 12), channels, tuple(ring + singles))
+
+
+def test_ring_signature_and_walk_do_not_depend_on_placement():
+    low, high = _ring_at(0), _ring_at(4)
+    (a,) = [c for c in cluster_decompose(low) if len(c.photon_indices) == 19]
+    (b,) = [c for c in cluster_decompose(high) if len(c.photon_indices) == 19]
+    assert a.qudit_indices == tuple(range(19)) and b.qudit_indices == tuple(range(4, 23))
+    assert a.signature == b.signature
+    _assert_same_bits(cluster_loss_pmf(a, low), cluster_loss_pmf(b, high))
+
+
+def test_relabelling_qudits_leaves_success_exact(rng):
+    for _ in range(30):
+        config = random_configuration(rng, max_photons=14)
+        exact = _at(config, {c.id: Fraction(round(c.p * 1000), 1000) for c in config.channels})
+        label = list(range(config.transmitted))
+        rng.shuffle(label)
+        photons = tuple(
+            Photon(ph.channel_id, tuple((label[q], n) for q, n in ph.carries))
+            for ph in exact.photons
+        )
+        relabelled = MultiplexConfiguration(exact.code, exact.channels, photons, exact.withheld)
+        value = success_probability(exact)
+        assert isinstance(value, Fraction)
+        assert success_probability(relabelled) == value
+
+
 # --- block path: log-space pmf, arrays, large codes -------------------------------
 
 
@@ -678,8 +728,13 @@ def test_block_success_broadcasts_a_float_block():
         (QrsCode(7, 4), [(0, 1.5), (7, 0.9)], r"survival=1.5 outside \[0, 1\]"),
         (QrsCode(5, 7), [(5, 0.9)], r"d=5 k=7: bad-code-parameters: k=7 outside 1..d"),
         (QrsCode(9, 5), [(9, 0.9)], r"d=9 k=5: non-prime-d: d=9 is not prime"),
+        (QrsCode(7, 4), [(-2, 0.9), (9, 0.9)], r"block of -2 qudits: counts must be >= 0"),
+        (QrsCode(7, 4), [(20, 0.9)], r"block of 20 qudits: .* total <= d=7"),
     ],
-    ids=["float", "negative-entry", "nan-entry", "count-zero", "k-above-d", "non-prime-d"],
+    ids=[
+        "float", "negative-entry", "nan-entry", "count-zero", "k-above-d", "non-prime-d",
+        "negative-count", "counts-above-d",
+    ],
 )
 def test_block_success_rejects_invalid_input(code, blocks, named):
     with pytest.raises(ValueError, match=named):

@@ -423,6 +423,19 @@ def test_grid_points_at_limit():
     assert len(grid_points(0.0, planner.MAX_GRID_POINTS - 1.0, 1.0)) == planner.MAX_GRID_POINTS
 
 
+@pytest.mark.parametrize("lo,hi,step", [(0.09, 1.0, 0.07), (0.116, 1.0, 0.017)])
+def test_grid_points_end_at_hi_exactly(lo, hi, step):
+    # lo + i * step lands one ulp above hi at the last point; it is taken as hi
+    points = grid_points(lo, hi, step)
+    assert points[-1] == hi
+    assert all(p <= hi for p in points)
+    assert points == sorted(set(points))
+
+
+def test_default_grid_is_unchanged_by_clamping():
+    assert grid_points(*planner.DEFAULT_GRID) == [0.3 + i * 0.002 for i in range(351)]
+
+
 @pytest.mark.parametrize("p2", [1.5, -0.1, float("nan")])
 def test_p2_outside_unit_interval_rejected(p2):
     s = planner.two_channel_scenario(D43, 1, 20)
@@ -483,8 +496,13 @@ def test_large_code_sweep_is_finite_and_monotone():
         ((ChannelSpec("a", 1.7, 3),), (QrsCode(3, 2),), "channel 'a'"),
         ((ChannelSpec("a", 0.9, 3), ChannelSpec("b", 0.9, -1)), (QrsCode(3, 2),), "channel 'b'"),
         ((ChannelSpec("a", 0.9, 9),), (QrsCode(3, 2), QrsCode(4, 2)), "d=4 k=2"),
+        (
+            (ChannelSpec("a", 0.93, 5), ChannelSpec("a", 0.95, 5)),
+            (QrsCode(7, 4),),
+            "channel 'a': id appears more than once",
+        ),
     ],
-    ids=["probability", "capacity", "code"],
+    ids=["probability", "capacity", "code", "repeated-id"],
 )
 def test_allocate_rejects_invalid_entries(channels, codes, names):
     problem = AllocationProblem(channels=channels, codes=codes, q=1)
