@@ -65,6 +65,8 @@ class PureState:
 
 def basis_state(radices: Sequence[int], digits: Sequence[int]) -> PureState:
     radices = tuple(radices)
+    if len(digits) != len(radices):
+        raise ValueError(f"{len(digits)} digits for {len(radices)} radices")
     idx = 0
     for r, d in zip(radices, digits):
         if not 0 <= d < r:

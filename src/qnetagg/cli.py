@@ -1,12 +1,10 @@
 """Command-line interface: success evaluation, curve sweeps, allocation, circuit checks.
 
-Exit codes: 0 success, 2 validation error (a missing, unreadable,
-malformed or invalid configuration or allocation document, a negative
-``--mc``, a ``--seed`` outside 0..2^128 - 1, an invalid sweep code, a
-sweep's grid or target outside [0, 1], a sweep grid that is descending, not
-finite or over 10^6 points, or a sweep with no layout or more than one
-chosen), 3 fully infeasible sweep, 4 infeasible allocation, 5 circuit
-verification failure.
+Exit codes: 0 success; 2 for any input the command cannot use (a document, a
+flag value, an output path, or a layout beyond a documented engine limit),
+reported as one line on stderr, or one per violation of an invalid
+configuration; 3 fully infeasible sweep; 4 infeasible allocation; 5 circuit
+verification failure.  :func:`main` alone maps exceptions to these codes.
 All output is deterministic for fixed flags: fixed float formatting, fixed
 ordering, seeded sampling.
 """
@@ -23,7 +21,7 @@ from .model import (
     InvalidConfiguration,
     QrsCode,
     load_config,
-    validate,
+    read_field,
 )
 from .engine import success_probability
 
@@ -42,45 +40,11 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _describe(exc: Exception) -> str:
-    """One line for a malformed document: a missing key, a wrong shape or a bad value."""
-    if isinstance(exc, KeyError):
-        return f"missing key {exc.args[0]!r}"
-    if isinstance(exc, TypeError):
-        return f"malformed document ({exc})"
-    return str(exc)
-
-
-def _read_document(path: str, load, prefix: str):
-    """``load(path)``, or ``None`` once bad input is reported on stderr.
-
-    Bad input is an unreadable file, text that is not JSON, a document of
-    the wrong shape (a missing key, a list for an object) or an invalid
-    value; an ``InvalidConfiguration`` reports each violation on its own
-    line.
-    """
-    try:
-        return load(path)
-    except InvalidConfiguration as exc:
-        for v in exc.violations:
-            print(f"invalid: {v}", file=sys.stderr)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"{prefix}: {_describe(exc)}", file=sys.stderr)
-    return None
-
-
 def cmd_success(args) -> int:
     if args.mc < 0:
-        print(f"success: --mc {args.mc} is negative", file=sys.stderr)
-        return EXIT_VALIDATION
-    config = _read_document(args.config, lambda path: validate(load_config(path)), "invalid")
-    if config is None:
-        return EXIT_VALIDATION
-    try:
-        est = montecarlo.estimate(config, args.mc, args.seed) if args.mc else None
-    except ValueError as exc:
-        print(f"success: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"--mc {args.mc} is negative")
+    config = load_config(args.config)
+    est = montecarlo.estimate(config, args.mc, args.seed) if args.mc else None
     print(f"success_probability {success_probability(config):.15g}")
     if est is not None:
         print(f"mc_estimate {est.mean:.15g}")
@@ -106,15 +70,8 @@ def _sweep_scenario(args) -> planner.Scenario:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        grid = planner.grid_points(*args.grid)
-        curve = planner.sweep_curve(_sweep_scenario(args), grid, args.target)
-    except planner.EmptyCurve:
-        print("sweep: every grid point infeasible", file=sys.stderr)
-        return EXIT_EMPTY_SWEEP
-    except ValueError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    grid = planner.grid_points(*args.grid)
+    curve = planner.sweep_curve(_sweep_scenario(args), grid, args.target)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             curve.to_csv(fh)
@@ -132,26 +89,22 @@ def _load_problem(path: str) -> planner.AllocationProblem:
         doc = json.load(fh)
     return planner.AllocationProblem(
         channels=tuple(
-            planner.ChannelSpec(str(c["id"]), float(c["p"]), int(c["capacity"]))
-            for c in doc["channels"]
+            planner.ChannelSpec(
+                read_field(c, "id", str), read_field(c, "p", float), read_field(c, "capacity", int)
+            )
+            for c in read_field(doc, "channels", list)
         ),
-        codes=tuple(QrsCode(int(c["d"]), int(c["k"])) for c in doc["codes"]),
-        q=int(doc.get("q", 1)),
+        codes=tuple(
+            QrsCode(read_field(c, "d", int), read_field(c, "k", int))
+            for c in read_field(doc, "codes", list)
+        ),
+        q=read_field(doc, "q", int, 1),
     )
 
 
 def cmd_allocate(args) -> int:
-    problem = _read_document(args.problem, _load_problem, "allocate")
-    if problem is None:
-        return EXIT_VALIDATION
-    try:
-        result = planner.allocate(problem, args.target)
-    except planner.Infeasible:
-        print("allocate: no feasible allocation", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"allocate: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    problem = _load_problem(args.problem)
+    result = planner.allocate(problem, args.target)
     out = result.summary(problem)
     out["single_channel_solutions"] = [
         {"d": code.d, "k": code.k, "channel": channel}
@@ -223,8 +176,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place that turns an exception into an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidConfiguration as exc:
+        for v in exc.violations:
+            print(f"invalid: {v}", file=sys.stderr)
+    except planner.EmptyCurve:
+        print("sweep: every grid point infeasible", file=sys.stderr)
+        return EXIT_EMPTY_SWEEP
+    except planner.Infeasible:
+        print("allocate: no feasible allocation", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (OSError, ValueError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -400,17 +400,46 @@ def config_to_dict(config: MultiplexConfiguration) -> dict:
     }
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+
+
+def read_field(doc, key: str, kind: type, default=None):
+    """``doc[key]`` of a JSON object, of ``kind``: ``dict``, ``list``, ``str``, ``int``
+    or ``float`` (any number, returned as a float); ``default`` for an absent key
+    unless ``None``.  ``ValueError`` names the key for anything else."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed document: {type(doc).__name__} holds no {key!r}")
+    if key not in doc and default is None:
+        raise ValueError(f"missing key {key!r}")
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(
+            f"malformed document: {key!r} must be {_KINDS[kind]}, not {type(value).__name__}"
+        )
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"malformed document: {key!r} is too large a number") from None
+
+
 def config_from_dict(doc: dict) -> MultiplexConfiguration:
-    code = QrsCode(int(doc["code"]["d"]), int(doc["code"]["k"]))
-    channels = tuple(Channel(str(c["id"]), float(c["p"])) for c in doc["channels"])
+    spec = read_field(doc, "code", dict)
+    code = QrsCode(read_field(spec, "d", int), read_field(spec, "k", int))
+    channels = tuple(
+        Channel(read_field(c, "id", str), read_field(c, "p", float))
+        for c in read_field(doc, "channels", list)
+    )
     photons = tuple(
         Photon(
-            str(p["channel"]),
-            tuple((int(c["qudit"]), int(c["qubits"])) for c in p["carries"]),
+            read_field(p, "channel", str),
+            tuple(
+                (read_field(c, "qudit", int), read_field(c, "qubits", int))
+                for c in read_field(p, "carries", list)
+            ),
         )
-        for p in doc["photons"]
+        for p in read_field(doc, "photons", list)
     )
-    return MultiplexConfiguration(code, channels, photons, int(doc.get("withheld", 0)))
+    return MultiplexConfiguration(code, channels, photons, read_field(doc, "withheld", int, 0))
 
 
 def load_config(path: str) -> MultiplexConfiguration:

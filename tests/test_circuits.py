@@ -239,6 +239,16 @@ def test_gates_preserve_norm():
         assert abs(out.norm() - 1) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "radices,digits",
+    [((3, 3), (1,)), ((2, 2), (1, 0, 1))],
+    ids=["too-few", "too-many"],
+)
+def test_basis_state_rejects_wrong_digit_count(radices, digits):
+    with pytest.raises(ValueError, match="digits for"):
+        qc.basis_state(radices, digits)
+
+
 def test_apply_unitary_rejects_non_unitary():
     state = qc.basis_state((2, 2), (0, 0))
     with pytest.raises(ValueError):

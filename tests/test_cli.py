@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 from qnetagg import cli
 from qnetagg.model import (
     Channel,
+    MultiplexConfiguration,
+    Photon,
     QrsCode,
     config_to_dict,
     save_config,
@@ -22,6 +25,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def run_cli(args, tmp_path=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"
     result = subprocess.run(
         [sys.executable, "-m", "qnetagg.cli", *args],
         capture_output=True,
@@ -344,3 +348,120 @@ def test_main_callable_directly(fig2b_config, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("success_probability 0.995")
+
+
+def assert_one_line_exit_2(result, prefix):
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(prefix)
+    return line
+
+
+ALLOCATION = {"channels": [{"id": "a", "p": 0.95, "capacity": 7}], "codes": [{"d": 7, "k": 4}]}
+
+
+@pytest.mark.parametrize(
+    "command,where,raw,named",
+    [
+        ("success", ("photons", 0, "carries", 0, "qudit"), "1e400", "'qudit' must be an integer"),
+        ("success", ("photons", 0, "carries", 0, "qudit"), "0.9", "'qudit' must be an integer"),
+        ("success", ("code", "d"), "7.6", "'d' must be an integer"),
+        ("success", ("channels", 0, "p"), '"0.9"', "'p' must be a number, not str"),
+        ("success", ("withheld",), "true", "'withheld' must be an integer, not bool"),
+        ("success", ("code",), "[7, 4]", "'code' must be an object, not list"),
+        ("success", ("photons",), "6", "'photons' must be a list, not int"),
+        ("allocate", ("channels", 0, "capacity"), "1e400", "'capacity' must be an integer"),
+        ("allocate", ("channels", 0, "p"), '"0.95"', "'p' must be a number, not str"),
+        ("allocate", ("channels", 0, "capacity"), "7.9", "'capacity' must be an integer"),
+        ("allocate", ("q",), "1.5", "'q' must be an integer, not float"),
+        ("allocate", ("channels", 0), "3", "int holds no 'id'"),
+    ],
+    ids=[
+        "qudit-overflow", "qudit-fraction", "d-fraction", "p-string", "withheld-bool",
+        "code-list", "photons-number", "capacity-overflow", "channel-p-string",
+        "capacity-fraction", "q-fraction", "channel-number",
+    ],
+)
+def test_document_value_of_wrong_kind_exit_2(tmp_path, command, where, raw, named):
+    # the value at ``where`` is replaced by the JSON text ``raw``
+    if command == "success":
+        doc = config_to_dict(uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.96), 7)]))
+    else:
+        doc = json.loads(json.dumps(ALLOCATION))
+    *parents, key = where
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = "@"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"@"', raw))
+    result = run_cli([command, str(path)])
+    assert result.stdout == ""
+    assert named in assert_one_line_exit_2(result, f"{command}: malformed document: ")
+
+
+def test_cluster_beyond_engine_limit_exit_2(tmp_path):
+    # photons along the edges of a random 8-regular graph over 131 qudits
+    rng = random.Random(131)
+    edges: set[frozenset] = set()
+    while len(edges) < 524:
+        perm = list(range(131))
+        rng.shuffle(perm)
+        cycle = {frozenset((perm[i], perm[i - 1])) for i in range(131)}
+        if not cycle & edges:
+            edges |= cycle
+    photons = tuple(Photon("c", ((u, 1), (v, 1))) for u, v in sorted(map(sorted, edges)))
+    config = MultiplexConfiguration(QrsCode(131, 66), (Channel("c", 0.9),), photons)
+    path = tmp_path / "regular.json"
+    save_config(config, str(path))
+    result = run_cli(["success", str(path)])
+    assert result.stdout == ""
+    line = assert_one_line_exit_2(result, "success: cluster of 524 photons ")
+    assert "2^16 states" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--fig4a", "--grid", "0.95:1.0:0.01", "--out"],
+        ["verify-circuits", "--out"],
+    ],
+    ids=["sweep", "verify-circuits"],
+)
+def test_unwritable_output_exit_2(tmp_path, argv):
+    result = run_cli([*argv, str(tmp_path / "missing" / "out")])
+    assert result.stdout == ""
+    assert "No such file" in assert_one_line_exit_2(result, f"{argv[0]}: ")
+
+
+def test_unwritable_summary_exit_2_after_curve(tmp_path):
+    args = ["sweep", "--fig4a", "--grid", "0.95:1.0:0.01"]
+    plain = run_cli(args)
+    result = run_cli([*args, "--summary", str(tmp_path / "missing" / "s.json")])
+    assert result.stdout == plain.stdout
+    assert "No such file" in assert_one_line_exit_2(result, "sweep: ")
+
+
+def test_invalid_configuration_one_line_per_violation(tmp_path):
+    doc = config_to_dict(uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.96), 7)]))
+    doc["photons"][0]["channel"] = "x"
+    doc["photons"][-1]["carries"][0]["qubits"] = 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli(["success", str(path)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2 and all(line.startswith("invalid: ") for line in lines)
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_main_lets_evaluation_errors_through(fig2b_config, monkeypatch, error):
+    def broken(config):
+        raise error("raised while evaluating")
+
+    monkeypatch.setattr(cli, "success_probability", broken)
+    with pytest.raises(error):
+        cli.main(["success", fig2b_config])

@@ -18,6 +18,7 @@ def test_demo_runs(script, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    env["PYTHONWARNINGS"] = "error"
     result = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
