@@ -117,7 +117,13 @@ class LossDistribution:
 
 
 def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
-    """Connected components and their signatures, by smallest member qudit."""
+    """Connected components and their signatures, by smallest member qudit.
+
+    Expects a validated configuration: an invalid one raises ``IndexError`` (a
+    photon with no qudit, a qudit index past the last) or, for a negative
+    index, gives wrong clusters.  Each photon's ``carries`` is read once, and
+    only photons of two or more qudits join components."""
+    carries = [ph.carries for ph in config.photons]
     parent = list(range(config.transmitted))
 
     def find(a: int) -> int:
@@ -131,22 +137,27 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for ph in config.photons:  # ``carries``, not the tuple ``qudits`` builds per access
-        (first, _), *rest = ph.carries
-        for other, _ in rest:
-            union(first, other)
+    for held in carries:  # ``carries``, not the tuple ``qudits`` builds per access
+        if len(held) > 1:
+            (first, _), *rest = held
+            for other, _ in rest:
+                union(first, other)
 
     clusters: dict[int, tuple[list, list, list]] = {}  # root: photons, qudits, signature
     home, position = [], []  # per qudit: its cluster's lists, its position in them
     for qudit in range(config.transmitted):
         members = clusters.setdefault(find(qudit), ([], [], []))
         home.append(members)
-        position.append(len(members[1]))
+        position.append((len(members[1]),))
         members[1].append(qudit)
-    for idx, ph in enumerate(config.photons):
-        photons, _, signature = home[ph.carries[0][0]]
+    for idx, (ph, held) in enumerate(zip(config.photons, carries)):
+        first = held[0][0]
+        photons, _, signature = home[first]
         photons.append(idx)
-        signature.append((ph.channel_id, tuple([position[q] for q, _ in ph.carries])))
+        if len(held) == 1:  # a single-qudit photon reuses its qudit's ``(position,)``
+            signature.append((ph.channel_id, position[first]))
+        else:
+            signature.append((ph.channel_id, tuple([position[q][0] for q, _ in held])))
     return [Cluster(*map(tuple, clusters[root])) for root in sorted(clusters)]
 
 
@@ -235,9 +246,10 @@ def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
     walked: dict[tuple, np.ndarray] = {}
 
     def pmf(cluster: Cluster) -> np.ndarray:
-        if cluster.signature not in walked:
-            walked[cluster.signature] = cluster_loss_pmf(cluster, config)
-        return walked[cluster.signature]
+        out = walked.get(cluster.signature)  # one hash of the signature per cluster
+        if out is None:
+            out = walked[cluster.signature] = cluster_loss_pmf(cluster, config)
+        return out
 
     pmfs = map(pmf, cluster_decompose(config))
     return LossDistribution(reduce(_convolve_rows, pmfs), offset=config.withheld)

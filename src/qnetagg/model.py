@@ -22,6 +22,9 @@ from typing import Sequence
 import numpy as np
 
 ROUNDOFF = 1e-12
+# Largest code dimension d accepted: :func:`is_prime` is trial division, which
+# would not finish for a huge d, and no evaluation at that scale is practical.
+MAX_D = 2**16
 
 
 class SplitMismatch(ValueError):
@@ -122,9 +125,9 @@ class QrsCode:
 
     ``d`` physical qudits of dimension ``d`` encode ``2k - d`` logical
     qudits and tolerate up to ``d - k`` erasures.  Parameter sanity beyond
-    positivity (primality of ``d``, ``1 <= k <= d``, ``2k - d >= 1``) is
-    reported by :func:`validate` so that malformed inputs can be diagnosed
-    rather than rejected at construction.
+    positivity (``d <= MAX_D``, primality of ``d``, ``1 <= k <= d``,
+    ``2k - d >= 1``) is reported by :func:`validate` so that malformed inputs
+    can be diagnosed rather than rejected at construction.
     """
 
     d: int
@@ -147,7 +150,9 @@ class QrsCode:
 
     def check(self) -> list[Violation]:
         out = []
-        if not is_prime(self.d):
+        if self.d > MAX_D:  # before primality, which takes ~sqrt(d) steps
+            out.append(Violation("bad-code-parameters", f"d={self.d} exceeds MAX_D={MAX_D}"))
+        elif not is_prime(self.d):
             out.append(Violation("non-prime-d", f"d={self.d} is not prime"))
         if not (1 <= self.k <= self.d):
             out.append(Violation("bad-code-parameters", f"k={self.k} outside 1..d"))
@@ -235,7 +240,8 @@ class MultiplexConfiguration:
 def violations(config: MultiplexConfiguration) -> list[Violation]:
     """Collect every broken invariant of ``config`` (empty list if valid)."""
     out = list(config.code.check())
-    d = config.code.d
+    if config.code.d > MAX_D:  # the layout of a code beyond the bound is not read
+        return out
     per_qudit = config.code.qubits_per_qudit()
 
     if config.withheld < 0:
@@ -262,18 +268,21 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
                 Violation("unknown-channel", f"photon {idx} uses channel {ph.channel_id!r}", idx)
             )
         mark, degree = len(out), 0  # summed here: the ``degree`` property re-sums per read
-        seen: set[int] = set()
+        seen = set() if len(ph.carries) > 1 else None  # one carry repeats no qudit
         for qudit, count in ph.carries:
             degree += count
             if count < 1:
                 out.append(
                     Violation("bad-qubit-count", f"photon {idx}: qubit count {count} < 1", idx)
                 )
-            if qudit in seen:
-                out.append(
-                    Violation("duplicate-qudit", f"photon {idx} lists qudit {qudit} twice", idx)
-                )
-            seen.add(qudit)
+            if seen is not None:
+                if qudit in seen:
+                    out.append(
+                        Violation(
+                            "duplicate-qudit", f"photon {idx} lists qudit {qudit} twice", idx
+                        )
+                    )
+                seen.add(qudit)
             if not (0 <= qudit < transmitted):
                 out.append(
                     Violation(

@@ -3,8 +3,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every @given test draws the same examples on every run and every Python:
+# a failure reproduces, and a pass is not luck of the draw.  Per-test
+# settings (such as max_examples) extend this profile.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 from qnetagg.model import Channel, MultiplexConfiguration, Photon, QrsCode
 

@@ -7,6 +7,8 @@ of binomial formulas, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from qnetagg import engine
@@ -57,6 +59,34 @@ def pattern_counts(config: MultiplexConfiguration) -> np.ndarray:
     survived = lost <= budget
     np.add.at(table, (arrivals[first][survived], arrivals[second][survived]), 1)
     return table
+
+
+def clusters(config: MultiplexConfiguration) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(photon indices, qudit indices)`` of each connected component of the
+    photon-qudit incidence graph, by breadth-first search from each unreached
+    qudit in index order, so components come by smallest qudit; both index
+    tuples ascending."""
+    holders: dict[int, list[int]] = {q: [] for q in range(config.transmitted)}
+    for i, ph in enumerate(config.photons):
+        for q in ph.qudits:
+            holders[q].append(i)
+    reached: set[int] = set()
+    out = []
+    for start in range(config.transmitted):
+        if start in reached:
+            continue
+        reached.add(start)
+        photons, qudits, queue = set(), {start}, deque([start])
+        while queue:
+            for i in holders[queue.popleft()]:
+                if i not in photons:
+                    photons.add(i)
+                    fresh = [q for q in config.photons[i].qudits if q not in reached]
+                    reached.update(fresh)
+                    qudits.update(fresh)
+                    queue.extend(fresh)
+        out.append((tuple(sorted(photons)), tuple(sorted(qudits))))
+    return out
 
 
 def pgf_loss_pmf(loss_probs) -> np.ndarray:

@@ -22,7 +22,7 @@ from qnetagg.model import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, tmp_path=None):
+def run_cli(args, tmp_path=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = "error"
@@ -31,6 +31,7 @@ def run_cli(args, tmp_path=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     return result
 
@@ -179,6 +180,29 @@ def test_sweep_invalid_code_exit_2(d, k):
     assert result.returncode == 2
     assert result.stdout == ""
     assert f"code d={d} k={k}: " in result.stderr
+
+
+HUGE_D, HUGE_K = 1000000000000000003, 600000000000000000  # d beyond model.MAX_D
+
+
+def test_sweep_huge_d_exit_2_at_once():
+    # trial division of this d would not finish; the bound on d answers first
+    result = run_cli(["sweep", "--d", str(HUGE_D), "--k", str(HUGE_K), "--n", "3"], timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert f"d={HUGE_D} exceeds MAX_D" in line
+
+
+def test_allocate_huge_d_exit_2_at_once(tmp_path):
+    path = tmp_path / "huge.json"
+    channels = [{"id": "a", "p": 0.9, "capacity": 8}]
+    path.write_text(json.dumps({"channels": channels, "codes": [{"d": HUGE_D, "k": HUGE_K}]}))
+    result = run_cli(["allocate", str(path), "--target", "0.9"], timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert f"d={HUGE_D} exceeds MAX_D" in line
 
 
 def test_sweep_without_layout_exit_2():

@@ -212,6 +212,12 @@ def test_ps15_is_a_probability(p1, p2):
     assert 0.0 <= ps15(p1, p2) <= 1.0
 
 
+def test_property_tests_draw_fixed_examples():
+    # the profile tests/conftest.py loads; per-test settings keep it
+    assert settings.default.derandomize and settings.default.deadline is None
+    assert settings(max_examples=500).derandomize
+
+
 def test_ps15_range_sweep():
     rnd = random.Random(42)
     for _ in range(1000):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import random_configuration
 from oracles import chain_loss_pmf, enumerate_success, pattern_counts, pgf_loss_pmf, pgf_success
+from oracles import clusters as oracle_clusters
 from qnetagg import closed_form, engine
 from qnetagg.engine import (
     BRUTE_FORCE_PHOTON_LIMIT,
@@ -53,6 +55,23 @@ def test_cluster_decompose_empty():
     # degenerate: nothing transmitted, nothing to cluster
     config = MultiplexConfiguration(QrsCode(3, 2), (Channel("c", 0.9),), (), withheld=3)
     assert cluster_decompose(config) == []
+
+
+def _partition(config):
+    return [(c.photon_indices, c.qudit_indices) for c in cluster_decompose(config)]
+
+
+def test_cluster_decompose_equals_breadth_first_components(rng):
+    for _ in range(200):
+        config = random_configuration(rng)
+        assert _partition(config) == oracle_clusters(config)
+        reversed_twin = replace(config, photons=config.photons[::-1])
+        assert _partition(reversed_twin) == oracle_clusters(reversed_twin)
+    for q in (1, 8):
+        config = uniform_configuration(
+            QrsCode(211, 106), q, [(Channel("a", 0.97), 100), (Channel("b", 0.99), 111)]
+        )
+        assert _partition(config) == oracle_clusters(config)
 
 
 def test_cluster_pmf_singleton():

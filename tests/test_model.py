@@ -5,11 +5,13 @@ import pytest
 
 from qnetagg.model import (
     Channel,
+    MAX_D,
     InvalidConfiguration,
     MultiplexConfiguration,
     Photon,
     QrsCode,
     SplitMismatch,
+    check_code,
     check_probability,
     clamp_roundoff,
     config_from_dict,
@@ -95,6 +97,22 @@ def test_validate_reports_non_prime_d():
     config = uniform_configuration(QrsCode(4, 3), 1, [(CH, 4)])
     report = violations(config)
     assert any(v.kind == "non-prime-d" for v in report)
+
+
+def test_code_beyond_max_d_is_rejected_before_primality():
+    # trial division of this d would run ~5e8 steps; the bound answers at once
+    code = QrsCode(1000000000000000003, 600000000000000000)
+    (violation,) = code.check()
+    assert violation.kind == "bad-code-parameters" and f"MAX_D={MAX_D}" in violation.message
+    with pytest.raises(ValueError, match="exceeds MAX_D"):
+        check_code(code)
+    config = MultiplexConfiguration(code, (CH,), (Photon("ch", ((0, 1),)),))
+    assert violations(config) == [violation]
+    # 65537 = 2^16 + 1 is prime but past the bound; 65521 is the largest prime inside it
+    assert MAX_D == 2**16 and is_prime(MAX_D + 1)
+    assert [v.kind for v in QrsCode(MAX_D + 1, 32769).check()] == ["bad-code-parameters"]
+    assert [v.kind for v in QrsCode(MAX_D, 32769).check()] == ["non-prime-d"]
+    assert QrsCode(65521, 32761).check() == []
 
 
 def test_validate_reports_unknown_channel_and_withheld():

@@ -181,6 +181,16 @@ def test_search_keeps_the_per_pair_results(seed, deviation):
     assert result.best_deviation == scalar_deviation(CHERRY, seed)
 
 
+@pytest.mark.parametrize("seed", [20260810, 1, 2, 3, 7])
+def test_search_best_is_the_first_smallest_per_class_gap(seed):
+    # each class scored by its own table sum, the first minimum in class order
+    p1, p2 = np.array(probe_pairs(seed)).T
+    tables, ref = wiring._tables()
+    gaps = [abs(engine.table_evaluator(t - ref, p2)(p1)).max() for t in tables.values()]
+    first_best = list(tables)[gaps.index(min(gaps))]
+    assert search_shared_photon_wiring(seed).best == first_best
+
+
 # --- count tables --------------------------------------------------------------
 
 
