@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, circuits, montecarlo, planner
+from . import __version__, montecarlo, planner
 from .model import (
     SCHEMA_VERSION,
     InvalidConfiguration,
@@ -115,6 +115,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_verify_circuits(args) -> int:
+    from . import circuits  # here, so the other subcommands skip its import
     report = circuits.verification_report()
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

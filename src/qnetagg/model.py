@@ -431,18 +431,32 @@ def read_field(doc, key: str, kind: type, default=None):
         raise ValueError(f"malformed document: {key!r} is too large a number") from None
 
 
+_DOCUMENT_KEYS = {  # the keys each object of a configuration document may hold
+    "the document": {"code", "withheld", "channels", "photons"}, "'code'": {"d", "k"},
+    "a channel": {"id", "p"}, "a photon": {"channel", "carries"}, "a carry": {"qudit", "qubits"},
+}
+
+
+def _known(obj, where: str):
+    """``obj``; ``ValueError`` names a key that a JSON object ``where`` may not hold."""
+    keys = _DOCUMENT_KEYS[where]
+    if isinstance(obj, dict) and not obj.keys() <= keys:
+        raise ValueError(f"malformed document: unknown key {min(obj.keys() - keys)!r} in {where}")
+    return obj
+
+
 def config_from_dict(doc: dict) -> MultiplexConfiguration:
-    spec = read_field(doc, "code", dict)
-    code = QrsCode(read_field(spec, "d", int), read_field(spec, "k", int))
+    spec = read_field(_known(doc, "the document"), "code", dict)
+    code = QrsCode(read_field(_known(spec, "'code'"), "d", int), read_field(spec, "k", int))
     channels = tuple(
-        Channel(read_field(c, "id", str), read_field(c, "p", float))
+        Channel(read_field(_known(c, "a channel"), "id", str), read_field(c, "p", float))
         for c in read_field(doc, "channels", list)
     )
     photons = tuple(
         Photon(
-            read_field(p, "channel", str),
+            read_field(_known(p, "a photon"), "channel", str),
             tuple(
-                (read_field(c, "qudit", int), read_field(c, "qubits", int))
+                (read_field(_known(c, "a carry"), "qudit", int), read_field(c, "qubits", int))
                 for c in read_field(p, "carries", list)
             ),
         )

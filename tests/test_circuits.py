@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qnetagg import circuits as qc
+from qnetagg import cli
 
 RNG = np.random.default_rng(123)
 
@@ -279,3 +281,190 @@ def test_verification_report_all_green():
         else:
             assert set(c) == base
             assert c["metric"] == "operator error"
+
+
+# --- exact index maps ----------------------------------------------------------
+#
+# The dense oracles below are built here, independently of the module's index
+# maps: literal permutations and the Kronecker-product constructions the
+# circuits describe.
+
+
+def dense(size, image):
+    m = np.zeros((size, size))
+    for i in range(size):
+        m[image(i), i] = 1
+    return m
+
+
+def mode_permutation(mapping):
+    return dense(4, lambda i: mapping.get(i, i))
+
+
+def truth_table(dim, controls, target):
+    def image(idx):
+        hit = all((idx >> (dim - 1 - c)) & 1 == v for c, v in controls)
+        return idx ^ (1 << (dim - 1 - target)) if hit else idx
+
+    return dense(1 << dim, image)
+
+
+HS_VL = mode_permutation({0: 3, 3: 0})
+HL_VS = mode_permutation({1: 2, 2: 1})
+EYE4 = np.eye(4)
+RELABEL = {
+    ("tb", 1, "pol"): EYE4,
+    ("tb", 0, "pol"): mode_permutation({0: 1, 1: 0, 2: 3, 3: 2}),
+    ("pol", 1, "tb"): HL_VS,
+    ("pol", 0, "tb"): mode_permutation({0: 1, 1: 3, 2: 0, 3: 2}),
+}
+SHARED_CASES = [
+    (a, (b, v), t) for a in ("pol", "tb") for b, t in (("pol", "tb"), ("tb", "pol")) for v in (0, 1)
+]
+
+
+def kron_table_cnot(c, t):
+    m = truth_table(4, [(0, 1)], 2)
+    if t == "tb":
+        wb = np.kron(EYE4, HS_VL)
+        m = wb @ m @ wb
+    if c == "tb":
+        wa = np.kron(HL_VS, EYE4)
+        m = wa @ m @ wa
+    return m
+
+
+def kron_mode_split():
+    late, short = np.diag([0.0, 1.0]), np.diag([1.0, 0.0])
+    return np.kron(truth_table(2, [(1, 1)], 0), late) + np.kron(EYE4, short)
+
+
+def kron_shared_photon_toffoli(a, control_b, t):
+    conj = np.kron(EYE4 if a == "pol" else HL_VS, RELABEL[(*control_b, t)])
+    return conj.T @ truth_table(4, [(0, 1), (3, 1)], 2) @ conj
+
+
+def permutation_cases():
+    # (name, module index map, its public dense form or None, dense oracle)
+    cases = [
+        ("X", qc._FLIP, qc.X, dense(2, lambda i: 1 - i)),
+        # swapping two qubits exchanges |01> and |10>, the H_L <-> V_S map
+        ("SWAP2", qc._HL_VS, qc.SWAP2, dense(4, lambda i: (i & 1) << 1 | i >> 1)),
+        ("SWAP_HS_VL", qc._HS_VL, qc.SWAP_HS_VL, HS_VL),
+        ("SWAP_HL_VS", qc._HL_VS, qc.SWAP_HL_VS, HL_VS),
+        ("toffoli_mode_split", qc.toffoli_mode_split().image, qc.toffoli_mode_split().matrix,
+         kron_mode_split()),
+    ]
+    for sign in (1, -1):
+        shift = dense(9, lambda i: 3 * (i // 3) + (i % 3 + sign * (i // 3)) % 3)
+        cases.append((f"qutrit_shift_gate({sign})", qc._shift(sign),
+                      qc.qutrit_shift_gate(sign), shift))
+    for key, want in RELABEL.items():
+        cases.append((f"_PAIR_RELABEL{key}", qc._PAIR_RELABEL[key], None, want))
+    for c in ("pol", "tb"):
+        for t in ("pol", "tb"):
+            gate = qc.table_cnot(c, t)
+            cases.append((f"table_cnot({c}, {t})", gate.image, gate.matrix, kron_table_cnot(c, t)))
+    for args in SHARED_CASES:
+        cases.append((f"shared_photon_toffoli{args}", qc._shared_photon_map(*args),
+                      qc.shared_photon_toffoli(*args), kron_shared_photon_toffoli(*args)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name,image,public,want", permutation_cases(), ids=[c[0] for c in permutation_cases()]
+)
+def test_index_map_equals_dense_permutation(name, image, public, want):
+    assert np.array_equal(qc.permutation_matrix(len(image), image.__getitem__), want)
+    if public is not None:
+        assert np.array_equal(public, want)
+
+
+def test_controlled_gate_maps_equal_apply_unitary():
+    # every gate of the three encoders, as an index array over the whole
+    # space, agrees with the dense value-controlled path on each basis state
+    for radices, gates in (
+        ((3, 3, 3), qc._qutrit_encoder_gates()),
+        ((2,) * 6, qc._pair_encoder_gates() + qc._multiplexed_gates()),
+    ):
+        for gate in gates:
+            image = qc._index_map(gate, radices)
+            for i, digits in enumerate(np.ndindex(*radices)):
+                moved = qc.apply_unitary(
+                    qc.basis_state(radices, digits), gate.matrix, gate.targets, gate.controls
+                )
+                assert moved.amplitudes[image[i]] == 1
+
+
+def test_index_maps_are_read_only_bijections():
+    image = qc._index_map(qc._pair_encoder_gates()[0], (2,) * 6)
+    assert np.array_equal(np.sort(image), np.arange(64))
+    with pytest.raises(ValueError):
+        image[0] = 1
+    with pytest.raises(ValueError, match="not a bijection"):
+        qc.permutation_matrix(2, lambda i: 0)
+
+
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        (lambda: qc.ideal_cnot16("x", "pol"), "control DOF 'x'"),
+        (lambda: qc.ideal_cnot16("pol", "x"), "target DOF 'x'"),
+        (lambda: qc.table_cnot("tb", "x"), "target DOF 'x'"),
+        (lambda: qc.shared_photon_toffoli("x", ("pol", 1), "tb"), "photon-A control DOF 'x'"),
+        (lambda: qc.shared_photon_toffoli("pol", ("pol", 2), "tb"), "photon-B control ('pol', 2)"),
+        (lambda: qc.shared_photon_toffoli("pol", ("tb", 1), "tb"), "photon-B control ('tb', 1)"),
+        (lambda: qc.ideal_toffoli(2, [(5, 1)], 0), "control 5 outside"),
+        (lambda: qc.ideal_toffoli(2, [(0, 1)], 7), "target 7 outside"),
+        (lambda: qc.ideal_toffoli(2, [(0, 1)], 0), "distinct subsystems"),
+    ],
+    ids=[
+        "cnot16-control", "cnot16-target", "table-cnot-target", "shared-a-dof", "shared-b-value",
+        "shared-b-same-dof", "toffoli-control", "toffoli-target", "toffoli-overlap",
+    ],
+)
+def test_circuit_builders_name_bad_argument(call, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
+
+
+# --- mutations fail the exact checks --------------------------------------------
+
+
+@pytest.fixture
+def fresh_maps():
+    qc._shared_photon_map.cache_clear()
+    yield
+    qc._shared_photon_map.cache_clear()
+
+
+def failing_checks(report):
+    return {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+def assert_mutant_fails(named, capsys):
+    report = qc.verification_report()
+    assert named <= failing_checks(report)
+    assert report["passed"] is False
+    for check in report["checks"]:
+        assert check["worst_error"] == (1.0 if check["name"] in named else 0.0)
+    assert cli.main(["verify-circuits"]) == 5
+    assert '"passed": false' in capsys.readouterr().out
+
+
+def test_swapped_pair_encoder_gates_fail(monkeypatch, capsys, fresh_maps):
+    original = qc._pair_encoder_gates
+
+    def swapped():
+        gates = original()
+        gates[0], gates[1] = gates[1], gates[0]  # a decrement becomes an increment
+        return gates
+
+    monkeypatch.setattr(qc, "_pair_encoder_gates", swapped)
+    assert_mutant_fails({"six-photon-encoder", "multiplexed-encoder"}, capsys)
+
+
+def test_changed_pair_relabel_fails(monkeypatch, capsys, fresh_maps):
+    monkeypatch.setitem(qc._PAIR_RELABEL, ("tb", 0, "pol"), (0, 1, 2, 3))
+    qc._shared_photon_map.cache_clear()
+    assert_mutant_fails({"shared-photon-toffoli", "multiplexed-encoder"}, capsys)

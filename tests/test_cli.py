@@ -361,6 +361,68 @@ def test_verify_circuits_green(tmp_path):
     assert report["passed"] is True
 
 
+# ``verify-circuits`` stdout, byte for byte: six exact verdicts and the one
+# numeric check all read 0.0.
+VERIFY_CIRCUITS_STDOUT = """\
+{
+  "checks": [
+    {
+      "metric": "1 - fidelity",
+      "name": "qutrit-encoder",
+      "passed": true,
+      "worst_error": 0.0,
+      "worst_fidelity": 1.0
+    },
+    {
+      "metric": "1 - fidelity",
+      "name": "six-photon-encoder",
+      "passed": true,
+      "worst_error": 0.0,
+      "worst_fidelity": 1.0
+    },
+    {
+      "metric": "1 - fidelity",
+      "name": "multiplexed-encoder",
+      "passed": true,
+      "worst_error": 0.0,
+      "worst_fidelity": 1.0
+    },
+    {
+      "metric": "1 - fidelity",
+      "name": "qutrit-preparation",
+      "passed": true,
+      "worst_error": 0.0,
+      "worst_fidelity": 1.0
+    },
+    {
+      "metric": "operator error",
+      "name": "cross-dof-cnot",
+      "passed": true,
+      "worst_error": 0.0
+    },
+    {
+      "metric": "operator error",
+      "name": "branch-toffoli",
+      "passed": true,
+      "worst_error": 0.0
+    },
+    {
+      "metric": "operator error",
+      "name": "shared-photon-toffoli",
+      "passed": true,
+      "worst_error": 0.0
+    }
+  ],
+  "passed": true
+}
+"""
+
+
+def test_verify_circuits_stdout_pinned(capsys):
+    assert cli.main(["verify-circuits"]) == 0
+    assert capsys.readouterr().out == VERIFY_CIRCUITS_STDOUT
+
+
 def test_version_prints_schema():
     result = run_cli(["--version"])
     assert result.returncode == 0
@@ -423,6 +485,32 @@ def test_document_value_of_wrong_kind_exit_2(tmp_path, command, where, raw, name
     result = run_cli([command, str(path)])
     assert result.stdout == ""
     assert named in assert_one_line_exit_2(result, f"{command}: malformed document: ")
+
+
+@pytest.mark.parametrize(
+    "where,key,named",
+    [
+        ((), "witheld", "'witheld' in the document"),
+        (("code",), "n", "'n' in 'code'"),
+        (("channels", 0), "q", "'q' in a channel"),
+        (("photons", 0), "qudits", "'qudits' in a photon"),
+        (("photons", 0, "carries", 0), "qubit", "'qubit' in a carry"),
+    ],
+    ids=["top-level", "code", "channel", "photon", "carry"],
+)
+def test_unknown_document_key_exit_2(tmp_path, where, key, named):
+    # a misspelt key is an error, never a silently applied default
+    doc = config_to_dict(uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.96), 7)]))
+    node = doc
+    for step in where:
+        node = node[step]
+    node[key] = 2
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli(["success", str(path)])
+    assert result.stdout == ""
+    line = assert_one_line_exit_2(result, "success: malformed document: unknown key ")
+    assert line.endswith(named)
 
 
 def test_cluster_beyond_engine_limit_exit_2(tmp_path):
