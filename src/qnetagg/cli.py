@@ -20,6 +20,7 @@ from .model import (
     SCHEMA_VERSION,
     InvalidConfiguration,
     QrsCode,
+    known_keys,
     load_config,
     read_field,
 )
@@ -55,6 +56,11 @@ def cmd_success(args) -> int:
 
 
 def _sweep_scenario(args) -> planner.Scenario:
+    if args.shared7 or args.shared15:
+        layout = "--fig4a" if args.shared7 else "--fig4b-eq5"
+        for flag in ("d", "k", "q"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"argument --{flag}: not allowed with argument {layout}")
     if args.shared7:
         return planner.shared_photon_7_scenario()
     if args.shared15:
@@ -62,11 +68,12 @@ def _sweep_scenario(args) -> planner.Scenario:
     if args.d is None or args.k is None:
         raise ValueError("--d and --k are required unless a fixed layout is chosen")
     code = QrsCode(args.d, args.k)
+    q = 1 if args.q is None else args.q
     if args.single:
-        return planner.single_channel_scenario(code, args.q)
+        return planner.single_channel_scenario(code, q)
     if args.n is None:
         raise ValueError("choose --single, --n, --fig4a or --fig4b-eq5")
-    return planner.two_channel_scenario(code, args.q, args.n)
+    return planner.two_channel_scenario(code, q, args.n)
 
 
 def cmd_sweep(args) -> int:
@@ -86,16 +93,17 @@ def cmd_sweep(args) -> int:
 
 def _load_problem(path: str) -> planner.AllocationProblem:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = known_keys(json.load(fh), "the problem")
     return planner.AllocationProblem(
         channels=tuple(
             planner.ChannelSpec(
-                read_field(c, "id", str), read_field(c, "p", float), read_field(c, "capacity", int)
+                read_field(known_keys(c, "a problem channel"), "id", str),
+                read_field(c, "p", float), read_field(c, "capacity", int),
             )
             for c in read_field(doc, "channels", list)
         ),
         codes=tuple(
-            QrsCode(read_field(c, "d", int), read_field(c, "k", int))
+            QrsCode(read_field(known_keys(c, "a problem code"), "d", int), read_field(c, "k", int))
             for c in read_field(doc, "codes", list)
         ),
         q=read_field(doc, "q", int, 1),
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="threshold curve: p1 required at each p2")
     p.add_argument("--d", type=int, help="code size (prime)")
     p.add_argument("--k", type=int, help="code parameter k")
-    p.add_argument("--q", type=int, default=1, help="qubits per photon")
+    p.add_argument("--q", type=int, help="qubits per photon (default 1)")
     layout = p.add_mutually_exclusive_group()
     layout.add_argument("--n", type=int, help="qudits in the adjustable channel")
     layout.add_argument("--single", action="store_true", help="all qudits in one channel")

@@ -119,10 +119,10 @@ class LossDistribution:
 def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
     """Connected components and their signatures, by smallest member qudit.
 
-    Expects a validated configuration: an invalid one raises ``IndexError`` (a
-    photon with no qudit, a qudit index past the last) or, for a negative
-    index, gives wrong clusters.  Each photon's ``carries`` is read once, and
-    only photons of two or more qudits join components."""
+    Validates ``config`` first (:class:`~qnetagg.model.InvalidConfiguration`).
+    Each photon's ``carries`` is read once, and only photons of two or more
+    qudits join components."""
+    validate(config)
     carries = [ph.carries for ph in config.photons]
     parent = list(range(config.transmitted))
 
@@ -237,12 +237,11 @@ def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.nda
 
 
 def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
-    """Exact distribution of erased qudits for a validated configuration.
+    """Exact distribution of erased qudits; :func:`cluster_decompose` validates.
 
     Each distinct :attr:`Cluster.signature` is walked once and its pmf reused;
     the fold stays in cluster order.
     """
-    validate(config)
     walked: dict[tuple, np.ndarray] = {}
 
     def pmf(cluster: Cluster) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -189,16 +190,17 @@ class Channel:
 class Photon:
     """One photon: the channel it travels through and the qubits it carries.
 
-    ``carries`` lists ``(qudit_index, qubit_count)`` pairs; the multiplexing
-    degree is the total qubit count.  Losing the photon erases every listed
-    qudit.
+    ``carries`` lists ``(qudit_index, qubit_count)`` pairs of integers (numpy
+    integers convert; a float or a string raises ``TypeError``); the
+    multiplexing degree is the total qubit count.  Losing the photon erases
+    every listed qudit.
     """
 
     channel_id: str
     carries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "carries", tuple((int(a), int(b)) for a, b in self.carries))
+        object.__setattr__(self, "carries", tuple((index(a), index(b)) for a, b in self.carries))
 
     @property
     def degree(self) -> int:
@@ -341,25 +343,15 @@ def uniform_configuration(
     consecutive qudit blocks to channels and must cover all ``d - withheld``
     transmitted qudits.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    m = photons_per_qudit(code, q)
     sent = code.d - withheld
     total = sum(count for _, count in split)
     if total != sent:
         raise SplitMismatch(f"split covers {total} qudits, expected {sent}")
-    qb = code.qubits_per_qudit()
-    photons: list[Photon] = []
-    qudit = 0
-    for channel, count in split:
-        for _ in range(count):
-            remaining = qb
-            while remaining > 0:
-                take = min(q, remaining)
-                photons.append(Photon(channel.id, ((qudit, take),)))
-                remaining -= take
-            qudit += 1
-    channels = tuple(ch for ch, _ in split)
-    return MultiplexConfiguration(code, channels, tuple(photons), withheld)
+    sizes = [q] * (m - 1) + [code.qubits_per_qudit() - q * (m - 1)]
+    owners = [channel.id for channel, count in split for _ in range(count)]
+    photons = tuple(Photon(ch, ((qudit, n),)) for qudit, ch in enumerate(owners) for n in sizes)
+    return MultiplexConfiguration(code, tuple(ch for ch, _ in split), photons, withheld)
 
 
 def shared7_configuration(p1: float, p2: float) -> MultiplexConfiguration:
@@ -431,13 +423,15 @@ def read_field(doc, key: str, kind: type, default=None):
         raise ValueError(f"malformed document: {key!r} is too large a number") from None
 
 
-_DOCUMENT_KEYS = {  # the keys each object of a configuration document may hold
+_DOCUMENT_KEYS = {  # the keys each object of a configuration or problem document may hold
     "the document": {"code", "withheld", "channels", "photons"}, "'code'": {"d", "k"},
     "a channel": {"id", "p"}, "a photon": {"channel", "carries"}, "a carry": {"qudit", "qubits"},
+    "the problem": {"channels", "codes", "q"}, "a problem channel": {"id", "p", "capacity"},
+    "a problem code": {"d", "k"},
 }
 
 
-def _known(obj, where: str):
+def known_keys(obj, where: str):
     """``obj``; ``ValueError`` names a key that a JSON object ``where`` may not hold."""
     keys = _DOCUMENT_KEYS[where]
     if isinstance(obj, dict) and not obj.keys() <= keys:
@@ -446,17 +440,17 @@ def _known(obj, where: str):
 
 
 def config_from_dict(doc: dict) -> MultiplexConfiguration:
-    spec = read_field(_known(doc, "the document"), "code", dict)
-    code = QrsCode(read_field(_known(spec, "'code'"), "d", int), read_field(spec, "k", int))
+    spec = read_field(known_keys(doc, "the document"), "code", dict)
+    code = QrsCode(read_field(known_keys(spec, "'code'"), "d", int), read_field(spec, "k", int))
     channels = tuple(
-        Channel(read_field(_known(c, "a channel"), "id", str), read_field(c, "p", float))
+        Channel(read_field(known_keys(c, "a channel"), "id", str), read_field(c, "p", float))
         for c in read_field(doc, "channels", list)
     )
     photons = tuple(
         Photon(
-            read_field(_known(p, "a photon"), "channel", str),
+            read_field(known_keys(p, "a photon"), "channel", str),
             tuple(
-                (read_field(_known(c, "a carry"), "qudit", int), read_field(c, "qubits", int))
+                (read_field(known_keys(c, "a carry"), "qudit", int), read_field(c, "qubits", int))
                 for c in read_field(p, "carries", list)
             ),
         )

@@ -218,14 +218,29 @@ def test_sweep_without_layout_exit_2():
         ["--single", "--d", "7", "--k", "4", "--n", "20"],
         ["--fig4a", "--fig4b-eq5"],
         ["--single", "--fig4a"],
+        ["--fig4a", "--d", "43", "--k", "22", "--q", "3", "--grid", "0.9:1:0.05"],
+        ["--fig4a", "--k", "22"],
+        ["--fig4b-eq5", "--q", "1"],
     ],
-    ids=["fig4a-n", "single-n", "fig4a-fig4b", "single-fig4a"],
+    ids=["fig4a-n", "single-n", "fig4a-fig4b", "single-fig4a", "fig4a-dkq", "fig4a-k", "fig4b-q"],
 )
 def test_sweep_layout_flags_exclude_each_other(flags):
     result = run_cli(["sweep", *flags])
     assert result.returncode == 2
     assert result.stdout == ""
     assert "not allowed with argument" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flags,code",
+    [(["--single"], 0), (["--single", "--q", "0"], 2), (["--n", "20", "--q", "0"], 2)],
+    ids=["q-absent", "single-q0", "two-channel-q0"],
+)
+def test_sweep_uniform_q_defaults_to_one(flags, code):
+    result = run_cli(["sweep", "--d", "7", "--k", "4", *flags, "--grid", "0.9:1:0.05"])
+    assert result.returncode == code, result.stderr
+    if code == 0:
+        assert "scenario=single(d=7,k=4,q=1)" in result.stdout.splitlines()[0]
 
 
 def test_allocate_reports_aggregated_split(tmp_path):
@@ -510,6 +525,30 @@ def test_unknown_document_key_exit_2(tmp_path, where, key, named):
     result = run_cli(["success", str(path)])
     assert result.stdout == ""
     line = assert_one_line_exit_2(result, "success: malformed document: unknown key ")
+    assert line.endswith(named)
+
+
+@pytest.mark.parametrize(
+    "where,key,named",
+    [
+        ((), "qq", "'qq' in the problem"),
+        (("channels", 0), "capacty", "'capacty' in a problem channel"),
+        (("codes", 0), "kk", "'kk' in a problem code"),
+    ],
+    ids=["top-level", "channel", "code"],
+)
+def test_unknown_problem_key_exit_2(tmp_path, where, key, named):
+    # a misspelt key in an allocation problem is an error, never a silently applied default
+    doc = json.loads(json.dumps(ALLOCATION))
+    node = doc
+    for step in where:
+        node = node[step]
+    node[key] = 3
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli(["allocate", str(path)])
+    assert result.stdout == ""
+    line = assert_one_line_exit_2(result, "allocate: malformed document: unknown key ")
     assert line.endswith(named)
 
 

@@ -26,6 +26,7 @@ from qnetagg.engine import (
 from qnetagg.model import (
     ArrayProbability,
     Channel,
+    InvalidConfiguration,
     MultiplexConfiguration,
     Photon,
     QrsCode,
@@ -52,9 +53,19 @@ def test_cluster_decompose_shared_layout():
 
 
 def test_cluster_decompose_empty():
-    # degenerate: nothing transmitted, nothing to cluster
+    # nothing transmitted needs withheld > d - k, so it is an invalid layout, not no clusters
     config = MultiplexConfiguration(QrsCode(3, 2), (Channel("c", 0.9),), (), withheld=3)
-    assert cluster_decompose(config) == []
+    with pytest.raises(InvalidConfiguration, match="withheld-exceeds-tolerance"):
+        cluster_decompose(config)
+
+
+@pytest.mark.parametrize("qudit", [-1, 3], ids=["negative", "past-the-end"])
+def test_cluster_decompose_rejects_bad_qudit_index(qudit):
+    # a d=3 layout whose third photon carries the bad index instead of qudit 2
+    photons = (Photon("c", ((0, 2),)), Photon("c", ((1, 2),)), Photon("c", ((qudit, 2),)))
+    config = MultiplexConfiguration(QrsCode(3, 2), (Channel("c", 0.9),), photons)
+    with pytest.raises(InvalidConfiguration, match=f"carries qudit {qudit}, outside 0..2"):
+        cluster_decompose(config)
 
 
 def _partition(config):

@@ -159,6 +159,43 @@ def test_uniform_configuration_split_mismatch():
         uniform_configuration(QrsCode(7, 4), 1, [(CH, 6)])
 
 
+@pytest.mark.parametrize(
+    "carries",
+    [((0.7, 3),), (("2", 3),), ((2, 3.0),)],
+    ids=["float-qudit", "str-qudit", "float-count"],
+)
+def test_photon_rejects_non_integer_carries(carries):
+    # never truncated or parsed: 0.7 is no qudit 0, "2" no qudit 2
+    with pytest.raises(TypeError):
+        Photon("c", carries)
+
+
+def test_uniform_configuration_checks_q_before_the_split():
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        uniform_configuration(QrsCode(7, 4), 0, [(CH, 6)])
+
+
+def test_uniform_configuration_photon_lists():
+    # each qudit's photons in order: q qubits each, the remainder last; blocks in split order
+    a, b = Channel("a", 0.9), Channel("b", 0.95)
+    config = uniform_configuration(QrsCode(7, 4), 2, [(a, 3), (b, 4)])
+    assert config.channels == (a, b)
+    assert config.photons == (
+        Photon("a", ((0, 2),)), Photon("a", ((0, 1),)),
+        Photon("a", ((1, 2),)), Photon("a", ((1, 1),)),
+        Photon("a", ((2, 2),)), Photon("a", ((2, 1),)),
+        Photon("b", ((3, 2),)), Photon("b", ((3, 1),)),
+        Photon("b", ((4, 2),)), Photon("b", ((4, 1),)),
+        Photon("b", ((5, 2),)), Photon("b", ((5, 1),)),
+        Photon("b", ((6, 2),)), Photon("b", ((6, 1),)),
+    )
+    config = uniform_configuration(QrsCode(211, 106), 3, [(a, 100), (b, 105)], withheld=6)
+    expected = [Photon("a", ((i, n),)) for i in range(100) for n in (3, 3, 2)]
+    expected += [Photon("b", ((i, n),)) for i in range(100, 205) for n in (3, 3, 2)]
+    assert config.photons == tuple(expected)
+    validate(config)
+
+
 def test_uniform_configuration_withheld():
     config = uniform_configuration(QrsCode(7, 4), 1, [(CH, 5)], withheld=2)
     validate(config)

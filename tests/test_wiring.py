@@ -178,17 +178,39 @@ def test_search_keeps_the_per_pair_results(seed, deviation):
     result = search_shared_photon_wiring(seed)
     assert result.best == CHERRY and not result.found
     assert result.best_deviation == pytest.approx(deviation, abs=1e-15)
-    assert result.best_deviation == scalar_deviation(CHERRY, seed)
+    # reported from the class's own table gap, within an ulp of the scalar walks
+    assert result.best_deviation == class_gaps(seed)[CHERRY]
+    assert result.best_deviation == pytest.approx(scalar_deviation(CHERRY, seed), abs=1e-15)
+
+
+def class_gaps(seed: int) -> dict:
+    """Each class's worst table difference over the probe pairs, by its own table sum."""
+    p1, p2 = np.array(probe_pairs(seed)).T
+    tables, ref = wiring._tables()
+    return {c: abs(engine.table_evaluator(t - ref, p2)(p1)).max() for c, t in tables.items()}
 
 
 @pytest.mark.parametrize("seed", [20260810, 1, 2, 3, 7])
 def test_search_best_is_the_first_smallest_per_class_gap(seed):
     # each class scored by its own table sum, the first minimum in class order
-    p1, p2 = np.array(probe_pairs(seed)).T
-    tables, ref = wiring._tables()
-    gaps = [abs(engine.table_evaluator(t - ref, p2)(p1)).max() for t in tables.values()]
-    first_best = list(tables)[gaps.index(min(gaps))]
+    gaps = class_gaps(seed)
+    first_best = min(gaps, key=gaps.__getitem__)
     assert search_shared_photon_wiring(seed).best == first_best
+
+
+def test_search_walks_no_layout_and_no_closed_form(monkeypatch):
+    # once the tables are built, the verdict, ranking and deviation come from them alone
+    wiring._tables()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search evaluated a layout or a closed form")
+
+    monkeypatch.setattr(wiring, "wiring_configuration", forbidden)
+    monkeypatch.setattr(engine, "success_probability", forbidden)
+    monkeypatch.setattr(wiring, "ps15", forbidden)
+    for seed in (20260810, 1, 2, 3, 7):
+        result = search_shared_photon_wiring(seed)
+        assert result.best == CHERRY and result.matched is None
 
 
 # --- count tables --------------------------------------------------------------
