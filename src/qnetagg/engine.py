@@ -19,9 +19,10 @@ among closed qudits.  The cost follows the number of states, not 2^photons:
 paths and rings stay at a handful at any length, and
 :class:`ClusterTooLarge` is raised when a step would hold more than
 2^CLUSTER_STATE_BITS states (no cluster of at most 16 photons can).  The
-same arithmetic serves floats, Fractions (exact results) and numpy arrays of
-one shape, which give one pmf per entry, each equal to its scalar walk bit
-for bit.
+walk reads only a weight per photon outcome on each channel (arrived, lost,
+or either when its qudits are already erased), so the same arithmetic serves
+floats, Fractions (exact results), numpy arrays of one shape (one pmf per
+entry, each equal to its scalar walk bit for bit) and Python ints.
 
 Layouts where every photon holds one qudit have a fast path,
 :func:`block_success`: qudits fail independently in blocks of equal
@@ -31,8 +32,13 @@ at any d.  Survivals may be numpy arrays, which lets the planner evaluate a
 whole grid of channel qualities in one call; :func:`block_evaluator` builds
 all blocks but one once, for a caller that varies one block.
 
-A two-channel polynomial is also an integer table: :func:`count_table` reads it
-from one exact call, such as the walk's, and :func:`table_evaluator` sums it.
+A two-channel polynomial is also an integer table of surviving loss patterns.
+:func:`layout_table` reads a layout's from the same walk and fold in integer
+weights, a photon weighing x_c arriving and 1 lost, with x_1 and x_2 powers of
+two far enough apart that the sum over the erased counts within budget holds
+every entry as its own base-2^(n1+n2+1) digit (Kronecker substitution); no
+Fraction is made.  :func:`count_table` reads a closed form's the same way from
+one exact Fraction call at p = x/(1+x), and :func:`table_evaluator` sums a table.
 
 Inputs follow the rules in :mod:`model` and are checked where they enter:
 :func:`block_success` checks the code, counts and survivals, :func:`block_evaluator`
@@ -187,31 +193,30 @@ def _zeros(probabilities, length: int) -> np.ndarray:
     return np.zeros(lead.shape + (length,), object if lead.dtype == object else float)
 
 
-def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.ndarray:
-    """Loss pmf over this cluster's qudits (last axis ``len(qudits) + 1``).
+def _walk(signature: tuple, weights: dict) -> list:
+    """The frontier walk over a cluster ``signature``: entry j of the list sums, over
+    the photon outcomes that erase j of its qudits, the product of their weights.
 
-    The walk reads only the cluster's signature and the channel probabilities
-    of ``config``.  A qudit is erased when any of its photons is lost.  The
-    photons are walked in :func:`_photon_order`; a state is the bitmask, over
-    positions in the cluster, of the open qudits (touched, last photon not yet
-    walked) that are already erased, and maps to the pmf of the erased count
-    among closed qudits.
-    """
-    arrival = {ch.id: ch.p for ch in config.channels}
-    qudits = [positions for _, positions in cluster.signature]
+    ``weights`` maps a channel id to ``(arrive, lose, either)``: a photon's weight
+    when it arrives, when it is lost, and when every qudit it carries is already
+    erased, so its outcome changes nothing.  The photons are walked in
+    :func:`_photon_order`; a state is the bitmask, over positions in the cluster,
+    of the open qudits (touched, last photon not yet walked) that are already
+    erased, and maps to the list of the erased count among closed qudits."""
+    qudits = [positions for _, positions in signature]
     order = _photon_order(qudits)
     last = {q: step for step, i in enumerate(order) for q in qudits[i]}
     states = {0: [1]}
     for step, i in enumerate(order):
-        p = arrival[cluster.signature[i][0]]
+        arrive, lose, either = weights[signature[i][0]]
         hit = sum(1 << q for q in qudits[i])
         closing = sum(1 << q for q in qudits[i] if last[q] == step)
         walked: dict[int, list] = {}
         for mask, pmf in states.items():
             if mask & hit == hit:
-                branches = ((mask, 1),)
+                branches = ((mask, either),)
             else:
-                branches = ((mask, p), (mask | hit, 1 - p))
+                branches = ((mask, arrive), (mask | hit, lose))
             for erased, weight in branches:
                 shift = (erased & closing).bit_count()
                 erased &= ~closing
@@ -230,28 +235,43 @@ def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.nda
                     acc[j] += weight * x
         states = walked
     (pmf,) = states.values()
-    out = _zeros(arrival.values(), len(cluster.qudit_indices) + 1)
-    for j, x in enumerate(pmf):  # arrays may sit next to int zeros the walk never added to
+    return pmf
+
+
+def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.ndarray:
+    """Loss pmf over this cluster's qudits (last axis ``len(qudits) + 1``).
+
+    The :func:`_walk` over the cluster's signature, a photon of channel ``p``
+    weighing ``p`` arriving, ``1 - p`` lost and exactly 1 when its outcome
+    changes nothing.  A qudit is erased when any of its photons is lost.
+    """
+    weights = {ch.id: (ch.p, 1 - ch.p, 1) for ch in config.channels}
+    out = _zeros([ch.p for ch in config.channels], len(cluster.qudit_indices) + 1)
+    # arrays may sit next to int zeros the walk never added to
+    for j, x in enumerate(_walk(cluster.signature, weights)):
         out[..., j] = x
     return out
 
 
-def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
-    """Exact distribution of erased qudits; :func:`cluster_decompose` validates.
-
-    Each distinct :attr:`Cluster.signature` is walked once and its pmf reused;
-    the fold stays in cluster order.
-    """
+def _fold(config: MultiplexConfiguration, walk) -> np.ndarray:
+    """The pmf of erased transmitted qudits: ``walk(cluster)`` of each distinct
+    :attr:`Cluster.signature` once, reused for its other clusters, and the pmfs
+    convolved in cluster order.  :func:`cluster_decompose` validates."""
     walked: dict[tuple, np.ndarray] = {}
 
     def pmf(cluster: Cluster) -> np.ndarray:
         out = walked.get(cluster.signature)  # one hash of the signature per cluster
         if out is None:
-            out = walked[cluster.signature] = cluster_loss_pmf(cluster, config)
+            out = walked[cluster.signature] = walk(cluster)
         return out
 
-    pmfs = map(pmf, cluster_decompose(config))
-    return LossDistribution(reduce(_convolve_rows, pmfs), offset=config.withheld)
+    return reduce(_convolve_rows, map(pmf, cluster_decompose(config)))
+
+
+def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
+    """Exact distribution of erased qudits; :func:`cluster_decompose` validates."""
+    pmf = _fold(config, lambda cluster: cluster_loss_pmf(cluster, config))
+    return LossDistribution(pmf, offset=config.withheld)
 
 
 def success_probability(config: MultiplexConfiguration):
@@ -260,21 +280,55 @@ def success_probability(config: MultiplexConfiguration):
     return clamp_roundoff(dist.probability_at_most(config.code.tolerance()))
 
 
+def _digits_table(value: int, photons: tuple[int, int]) -> np.ndarray:
+    """Table ``T[a, b]`` of the base-B digits of ``value`` = sum T[a, b] x1^a x2^b at
+    x1 = B = 2^(n1+n2+1) and x2 = B^(n1+1), ``photons = (n1, n2)``: int64 when every
+    entry fits, else exact Python ints (object), never a float; ``ArithmeticError``
+    if ``value`` is negative or has more digits."""
+    n1, n2 = photons
+    bits, size = n1 + n2 + 1, (n1 + 1) * (n2 + 1)
+    if value >> bits * size:  # -1 for a negative value
+        raise ArithmeticError(f"{value} has no count table over {photons} photons")
+    digit = (1 << bits) - 1
+    digits = [value >> bits * i & digit for i in range(size)]
+    dtype = object if max(digits) >> 63 else np.int64
+    return np.array(digits, dtype).reshape(n2 + 1, n1 + 1).T
+
+
 def count_table(evaluate, photons: tuple[int, int]) -> np.ndarray:
     """Table ``T`` of ``evaluate(p1, p2)`` = sum T[a, b] p1^a (1-p1)^(n1-a) p2^b (1-p2)^(n2-b),
     ``photons = (n1, n2)``: the surviving loss patterns by arrivals a, b per channel.  One
     exact call reads it: at p = x/(1+x), (1+x1)^n1 (1+x2)^n2 P_S = sum T[a, b] x1^a x2^b,
-    so at x1 = B, x2 = B^(n1+1), B = 2^(n1+n2+1) > T its base-B digits are the entries;
-    ``ArithmeticError`` if it is no integer or has more digits."""
+    whose digits :func:`_digits_table` reads; ``ArithmeticError`` if it is no integer or
+    has more digits.  For a closed form; a layout's table is :func:`layout_table`."""
     n1, n2 = photons
-    bits, size = n1 + n2 + 1, (n1 + 1) * (n2 + 1)
-    x1, x2 = 1 << bits, 1 << bits * (n1 + 1)
+    x1 = 1 << n1 + n2 + 1
+    x2 = x1 ** (n1 + 1)
     value = Fraction(evaluate(Fraction(x1, 1 + x1), Fraction(x2, 1 + x2)))
     scaled = value * (1 + x1) ** n1 * (1 + x2) ** n2
-    if scaled.denominator != 1 or scaled.numerator >> bits * size:
+    if scaled.denominator != 1:
         raise ArithmeticError(f"P_S = {value} has no count table over {photons} photons")
-    digits = [scaled.numerator >> bits * i & x1 - 1 for i in range(size)]
-    return np.array(digits).reshape(n2 + 1, n1 + 1).T
+    return _digits_table(scaled.numerator, photons)
+
+
+def layout_table(config: MultiplexConfiguration) -> np.ndarray:
+    """:func:`count_table` of a two-channel layout, axes in ``config.channels`` order,
+    in integers: the :func:`loss_distribution` walk and fold with a photon weighing
+    x arriving, 1 lost and x + 1 either way, at x1 = B on the first channel and
+    x2 = B^(n1+1) on the second, give each erased count's sum T[a, b] x1^a x2^b as
+    one Python int; those within the budget are summed and their digits read.  The
+    channel probabilities are not read.  ``ValueError`` unless two channels."""
+    if len(config.channels) != 2:
+        raise ValueError(f"a count table needs two channels, not {len(config.channels)}")
+    first, second = (ch.id for ch in config.channels)
+    n1 = sum(ph.channel_id == first for ph in config.photons)
+    n2 = len(config.photons) - n1
+    x1 = 1 << n1 + n2 + 1
+    x2 = x1 ** (n1 + 1)
+    weights = {first: (x1, 1, x1 + 1), second: (x2, 1, x2 + 1)}
+    pmf = _fold(config, lambda cluster: np.array(_walk(cluster.signature, weights), object))
+    budget = config.code.tolerance() - config.withheld
+    return _digits_table(sum(pmf[: budget + 1]), (n1, n2))
 
 
 def _bernstein(coefficients, p):

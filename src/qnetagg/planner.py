@@ -12,7 +12,9 @@ on a one-point grid.
 
 Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  The two
 shared-photon scenarios of the paper's Fig. 4 sum the integer count table of
-their polynomial (:func:`engine.count_table`), read once on first use.  In the
+their polynomial, read once on first use (:func:`engine.layout_table` of the
+``shared7`` layout, :func:`engine.count_table` of ``ps15``) and certified
+monotone in integers before any bisection relies on it.  In the
 two-channel uniform scenario the ``n``-qudit block travels in the adjustable
 channel (``p1``) and the remaining ``d - n`` qudits in the reference channel
 (``p2``); the closed-form anchor points are only consistent with that
@@ -31,6 +33,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,24 +116,40 @@ def two_channel_scenario(code: QrsCode, q: int, n: int) -> Scenario:
     )
 
 
-def _table_scenario(name: str, evaluate, photons: tuple[int, int], qudits: int) -> Scenario:
-    """A two-channel scenario summed from the count table of ``evaluate``."""
-    table = engine.count_table(evaluate, photons)
+def _check_monotone(table: np.ndarray) -> None:
+    """``ArithmeticError`` unless ``T[a, b] / C(n1, a)`` never falls as ``a`` grows,
+    nor ``T[a, b] / C(n2, b)`` as ``b`` grows, compared in integers by
+    cross-multiplication.  An arrival never erases a qudit, so a layout's surviving
+    patterns form an up-set and, by the normalized matching property of the Boolean
+    lattice, its table passes; nondecreasing Bernstein coefficients then give a
+    polynomial that never falls as ``p1`` or ``p2`` rises, the premise of
+    :func:`_bisect`."""
+    for t in (table, table.T):
+        n = len(t) - 1
+        row = np.array([comb(n, a) for a in range(n + 1)], object)[:, None]
+        t = t.astype(object)
+        if np.any(t[1:] * row[:-1] < t[:-1] * row[1:]):
+            raise ArithmeticError("count table is not monotone: a success polynomial read wrongly")
+
+
+def _table_scenario(name: str, table: np.ndarray, qudits: int) -> Scenario:
+    """A two-channel scenario summed from its count ``table``, checked by
+    :func:`_check_monotone` first."""
+    _check_monotone(table)
 
     def at(p2):
         success = engine.table_evaluator(table, p2)
         return lambda p1: clamp_roundoff(success(p1))
 
-    return Scenario(name=name, at=at, photons=sum(photons), qudits=qudits)
+    return Scenario(name=name, at=at, photons=sum(table.shape) - 2, qudits=qudits)
 
 
 @lru_cache(maxsize=None)
 def shared_photon_7_scenario() -> Scenario:
     """Six photons, seven qudits, one qudit spread over the better channel:
-    the table of :func:`~qnetagg.model.shared7_configuration`'s walk."""
-    return _table_scenario(
-        "shared7", lambda a, b: engine.success_probability(shared7_configuration(a, b)), (3, 3), 7
-    )
+    the :func:`~qnetagg.engine.layout_table` of
+    :func:`~qnetagg.model.shared7_configuration`."""
+    return _table_scenario("shared7", engine.layout_table(shared7_configuration(0.5, 0.5)), 7)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +157,7 @@ def shared_photon_11_scenario() -> Scenario:
     """Fifteen photons, eleven qudits, mixed multiplexing degrees: the table
     of the paper's polynomial :func:`~qnetagg.closed_form.ps15`, which no
     wiring realises (:mod:`qnetagg.wiring`), so no layout can stand in."""
-    return _table_scenario("shared11", closed_form.ps15, (8, 7), 11)
+    return _table_scenario("shared11", engine.count_table(closed_form.ps15, (8, 7)), 11)
 
 
 def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,9 @@ multisets of paths and cycles with 7 edges on at most 11 vertices (a
 two-vertex cycle is a doubled edge).
 
 ``search_shared_photon_wiring`` decides the match exactly: it compares each
-class's integer count table (:func:`engine.count_table`, one exact walk per
-class, built once per process) with that of :func:`ps15`.  The same table
+class's integer count table (:func:`engine.layout_table`, one walk of its
+layout in integer weights, built once per process) with that of :func:`ps15`
+(:func:`engine.count_table`, one Fraction call).  The same table
 differences, summed at random probability pairs, rank the classes and give
 the closest miss's reported deviation, so a search walks no layout and
 evaluates no closed form.  A no-match outcome is a finding about the
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import engine
 from .closed_form import ps15
-from .model import Channel, MultiplexConfiguration, Photon, QrsCode, validate
+from .model import Channel, MultiplexConfiguration, Photon, QrsCode
 
 FAMILY_CODE = QrsCode(11, 6)
 SHARED_PHOTONS = 7  # channel-2, degree 4, spanning two qudits
@@ -74,7 +75,9 @@ def wiring_configuration(components: Sequence[Component], p1, p2) -> MultiplexCo
 
     Qudit indices are assigned component by component; channel-1 photons are
     attached to every half not covered by a channel-2 photon, including the
-    isolated qudits outside all components.
+    isolated qudits outside all components.  The layout is valid by
+    construction and validated where it is evaluated (``Channel`` rejects a
+    ``p`` outside [0, 1] with ``ValueError``).
     """
     d = FAMILY_CODE.d
     edges: list[tuple[int, int]] = []
@@ -90,16 +93,12 @@ def wiring_configuration(components: Sequence[Component], p1, p2) -> MultiplexCo
     photons = [Photon("ch2", ((a, 2), (b, 2))) for a, b in edges]
     photons += [Photon("ch1", ((q, 2),)) for q in range(d) for _ in range(2 - halves[q])]
     channels = (Channel("ch1", p1), Channel("ch2", p2))
-    return validate(MultiplexConfiguration(FAMILY_CODE, channels, tuple(photons), 0))
+    return MultiplexConfiguration(FAMILY_CODE, channels, tuple(photons), 0)
 
 
 def _class_table(components: Sequence[Component]) -> np.ndarray:
-    """The class's :func:`engine.count_table` over (channel-1, channel-2) photons."""
-    shared = sum(m for _, m in components)
-    return engine.count_table(
-        lambda p1, p2: engine.success_probability(wiring_configuration(components, p1, p2)),
-        (2 * FAMILY_CODE.d - 2 * shared, shared),
-    )
+    """The class's :func:`engine.layout_table` over (channel-1, channel-2) photons."""
+    return engine.layout_table(wiring_configuration(components, 0.5, 0.5))
 
 
 def three_matching_count(components: Sequence[Component]) -> int:

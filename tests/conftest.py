@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -61,6 +62,31 @@ def random_configuration(rng: random.Random, max_photons: int = 20) -> Multiplex
             for group in groups
         )
         return MultiplexConfiguration(code, channels, photons, withheld)
+
+
+@st.composite
+def two_channel_layouts(draw, max_photons: int = 12) -> MultiplexConfiguration:
+    """Valid layouts on channels "a" and "b" (both at p = 1/2) of at most
+    ``max_photons`` photons and d <= 11.  Each sent qudit is held by a nonempty
+    set of photon slots, which deal its qubits one each and the rest to the
+    first; empty slots send no photon.  Shrinks toward fewer slots, so fewer
+    photons, and toward the smallest code, so fewer qudits."""
+    d, k = draw(st.sampled_from(CODE_CHOICES))
+    code = QrsCode(d, k)
+    withheld = draw(st.integers(0, min(code.tolerance(), 2)))
+    slots = draw(st.integers(1, max_photons))
+    qubits = code.qubits_per_qudit()
+    carries: list[list[tuple[int, int]]] = [[] for _ in range(slots)]
+    for qudit in range(d - withheld):
+        holders = st.sets(st.integers(0, slots - 1), min_size=1, max_size=min(qubits, slots))
+        first, *rest = sorted(draw(holders))
+        carries[first].append((qudit, qubits - len(rest)))
+        for slot in rest:
+            carries[slot].append((qudit, 1))
+    on = draw(st.lists(st.sampled_from("ab"), min_size=slots, max_size=slots))
+    photons = tuple(Photon(c, tuple(held)) for c, held in zip(on, carries) if held)
+    channels = (Channel("a", 0.5), Channel("b", 0.5))
+    return MultiplexConfiguration(code, channels, photons, withheld)
 
 
 @pytest.fixture

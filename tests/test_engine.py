@@ -2,14 +2,16 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_configuration
+from conftest import random_configuration, two_channel_layouts
 from oracles import chain_loss_pmf, enumerate_success, pattern_counts, pgf_loss_pmf, pgf_success
 from oracles import clusters as oracle_clusters
-from qnetagg import closed_form, engine
+from qnetagg import closed_form, engine, planner
 from qnetagg.engine import (
     BRUTE_FORCE_PHOTON_LIMIT,
     ClusterTooLarge,
@@ -800,6 +802,72 @@ def test_count_table_equals_pattern_counts_on_seeded_layouts(rng):
         table = walk_table(build, on)
         assert table.shape == (on[0] + 1, on[1] + 1)
         assert np.array_equal(table, pattern_counts(config))
+
+
+def channel_counts(config: MultiplexConfiguration) -> tuple[int, int]:
+    """Photons per channel, in ``config.channels`` order."""
+    return tuple(sum(ph.channel_id == ch.id for ph in config.photons) for ch in config.channels)
+
+
+def with_probabilities(config: MultiplexConfiguration, p1, p2) -> MultiplexConfiguration:
+    """``config`` with its two channels at ``p1`` and ``p2``."""
+    (a, b) = config.channels
+    return replace(config, channels=(Channel(a.id, p1), Channel(b.id, p2)))
+
+
+@settings(max_examples=150)
+@given(two_channel_layouts())
+def test_layout_table_equals_pattern_counts_and_the_fraction_walk(config):
+    table = engine.layout_table(config)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, pattern_counts(config))
+    walk = walk_table(lambda p1, p2: with_probabilities(config, p1, p2), channel_counts(config))
+    assert np.array_equal(table, walk)
+    planner._check_monotone(table)
+
+
+def test_layout_table_of_the_shared7_layout():
+    table = engine.layout_table(shared7_configuration(0.9, 0.95))
+    assert np.array_equal(table, walk_table(shared7_configuration, (3, 3)))
+    # the channel probabilities are not read
+    assert np.array_equal(table, engine.layout_table(shared7_configuration(0.0, 1.0)))
+
+
+def test_layout_table_needs_two_channels_and_a_valid_layout():
+    one = uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.9), 7)])
+    with pytest.raises(ValueError, match="two channels"):
+        engine.layout_table(one)
+    bad = shared7_configuration(0.9, 0.95)
+    bad = replace(bad, photons=bad.photons[:-1])  # a qudit left short of its qubits
+    with pytest.raises(InvalidConfiguration):
+        engine.layout_table(bad)
+
+
+def test_count_table_keeps_exact_digits_beyond_int64():
+    # C(67, 33) lies in [2^63, 2^64), next to entries as small as 1
+    table = engine.count_table(lambda p1, p2: 1, (67, 0))
+    assert table.dtype == object
+    assert table[:, 0].tolist() == [comb(67, a) for a in range(68)]
+    assert all(type(x) is int for x in table.flat)
+    assert engine.count_table(lambda p1, p2: 1, (3, 2)).dtype == np.int64
+
+
+def test_layout_table_of_many_photons_sums_to_its_success_probability():
+    # 115 single-qubit photons, seven of them on channel b: entries pass 2^63
+    code = QrsCode(23, 12)
+    on_b = {(0, j) for j in range(5)} | {(1, 0), (1, 1)}
+    photons = tuple(
+        Photon("b" if (qudit, j) in on_b else "a", ((qudit, 1),))
+        for qudit in range(23)
+        for j in range(5)
+    )
+    config = MultiplexConfiguration(code, (Channel("a", 0.5), Channel("b", 0.5)), photons)
+    table = engine.layout_table(config)
+    assert table.shape == (109, 8) and table.dtype == object
+    assert max(table.flat) >> 63 and all(type(x) is int for x in table.flat)
+    p1, p2 = Fraction(7, 10), Fraction(9, 10)
+    exact = success_probability(with_probabilities(config, p1, p2))
+    assert engine.table_evaluator(table, p2)(p1) == exact
 
 
 def test_count_table_of_ps6_is_the_shared7_table():

@@ -603,3 +603,22 @@ def test_table_scenario_reads_its_table_once(build, polynomial, monkeypatch):
     # shared7 is read from its layout's walk; shared11 reads ps15 once, exactly
     assert len(calls) == (0 if polynomial.__name__ == "ps6" else 1)
     assert all(isinstance(p, Fraction) for args in calls for p in args)
+
+
+def test_table_scenarios_check_the_monotonicity_certificate():
+    shared7 = engine.layout_table(shared7_configuration(0.9, 0.95))
+    ps15 = engine.count_table(closed_form.ps15, (8, 7))
+    for table in (shared7, ps15):
+        planner._check_monotone(table)
+    scenario = planner._table_scenario("shared7", shared7, 7)
+    assert scenario.photons == 6 and scenario.qudits == 7
+    # every photon arriving is the one pattern with nothing erased: lowering it breaks both axes
+    for table in (shared7, ps15):
+        lowered = table.copy()
+        lowered[-1, -1] -= 1
+        with pytest.raises(ArithmeticError, match="not monotone"):
+            planner._table_scenario("lowered", lowered, 7)
+    # one photon: surviving its loss but not its arrival, on either channel
+    for table in (np.array([[1], [0]]), np.array([[1, 0]])):
+        with pytest.raises(ArithmeticError, match="not monotone"):
+            planner._check_monotone(table)

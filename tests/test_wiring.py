@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import pattern_counts
-from qnetagg import engine, wiring
+from qnetagg import engine, planner, wiring
 from qnetagg.closed_form import ps15
 from qnetagg.model import validate
 from qnetagg.wiring import (
@@ -69,6 +69,19 @@ def test_every_candidate_validates():
         assert sum(ph.degree for ph in config.photons) == 44
         degrees = sorted(ph.degree for ph in config.photons)
         assert degrees == [2] * 8 + [4] * 7
+
+
+def test_wiring_configuration_rejects_a_probability_outside_0_1():
+    with pytest.raises(ValueError, match="outside"):
+        wiring_configuration(CHERRY, 1.5, 0.5)
+
+
+def test_class_table_validates_its_layout_once(monkeypatch):
+    calls = []
+    validate = engine.validate
+    monkeypatch.setattr(engine, "validate", lambda config: calls.append(1) or validate(config))
+    wiring._class_table(CHERRY)
+    assert len(calls) == 1
 
 
 def test_three_matching_counts():
@@ -224,6 +237,29 @@ def ps15_table():
 def test_class_table_equals_pattern_counts(components):
     config = wiring_configuration(components, 0.5, 0.5)
     assert np.array_equal(wiring._class_table(components), pattern_counts(config))
+
+
+def test_class_tables_equal_the_fraction_walks_tables():
+    # the integer read against count_table of the exact Fraction walk, all 40 classes
+    tables, _ = wiring._tables()
+    for components, table in tables.items():
+        shared = sum(m for _, m in components)
+        walk = engine.count_table(
+            lambda p1, p2: engine.success_probability(wiring_configuration(components, p1, p2)),
+            (2 * 11 - 2 * shared, shared),
+        )
+        assert table.dtype == walk.dtype == np.int64
+        assert np.array_equal(table, walk)
+
+
+def test_class_tables_and_ps15s_pass_the_monotonicity_certificate():
+    tables, ref = wiring._tables()
+    for table in [ref, *tables.values()]:
+        planner._check_monotone(table)
+    lowered = tables[CHERRY].copy()
+    lowered[-1, -1] -= 1  # every photon arriving: the one pattern with nothing erased
+    with pytest.raises(ArithmeticError, match="not monotone"):
+        planner._check_monotone(lowered)
 
 
 def test_ps15_table_facts():
