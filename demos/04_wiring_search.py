@@ -13,13 +13,14 @@ isolated pair, which does match the reference triple-loss bookkeeping
 (C(7,3) - 20 = 15 survivable triples, one entry of its table).
 """
 
+from math import comb
+
 from qnetagg.wiring import (
     enumerate_wiring_classes,
     search_shared_photon_wiring,
-    three_matching_count,
     wiring_configuration,
 )
-from qnetagg import success_probability, ps15
+from qnetagg import engine, success_probability, ps15
 
 classes = enumerate_wiring_classes()
 print(f"{len(classes)} wiring classes with 7 shared photons on 11 qudits\n")
@@ -28,8 +29,11 @@ result = search_shared_photon_wiring()
 print(f"search over {result.candidates_tested} classes: "
       f"{'match found' if result.found else 'no exact match'}")
 print(f"closest class: {result.best}")
+# T[8, 4]: every single arrives and 3 of the 7 shared photons are lost; the
+# 3-subsets missing from it erase six distinct qudits
+table = engine.layout_table(wiring_configuration(result.best, 0.5, 0.5))
 print(f"  3-subsets of shared photons erasing 6 qudits: "
-      f"{three_matching_count(result.best)} (reference coefficient implies 20)")
+      f"{comb(7, 3) - table[8, 4]} (reference coefficient implies 20)")
 print(f"  worst deviation from the reference polynomial: {result.best_deviation:.3e}\n")
 
 print("engine vs reference polynomial for the closest class:")

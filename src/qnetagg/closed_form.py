@@ -2,13 +2,14 @@
 
 These are the closed-form evaluators: binomial tails for uniform single- and
 two-channel layouts, plus the two fixed shared-photon polynomials for the
-6-photon/7-qudit and 15-photon/11-qudit layouts.  Binomial coefficients are
-exact integers (``math.comb``).  A float binomial term is computed from the
-logarithm of its exact coefficient, so none overflows at any d; terms are
-summed left to right.  Passing :class:`fractions.Fraction` probabilities
-keeps the arithmetic exact, which the tests use to bound the
-double-precision roundoff.  The module is independent of :mod:`engine`, so
-the two check each other.
+6-photon/7-qudit and 15-photon/11-qudit layouts, each written once as its
+count table of surviving loss patterns by arrivals per channel and summed by
+one evaluator.  Binomial coefficients are exact integers (``math.comb``).  A
+float binomial term is computed from the logarithm of its exact coefficient,
+so none overflows at any d; terms are summed left to right.  Passing
+:class:`fractions.Fraction` probabilities keeps the arithmetic exact, which
+the tests use to bound the double-precision roundoff.  The module is
+independent of :mod:`engine`, so the two check each other.
 
 ``ps6`` and ``ps15`` also take numpy arrays of probabilities.  Inputs and
 results follow the rules of :mod:`model`: every code passes ``check_code``,
@@ -120,40 +121,62 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
     return clamp_roundoff(total)
 
 
+def _table_sum(table: dict, p1, p2):
+    """sum T[a, b] p1^a (1-p1)^(n1-a) p2^b (1-p2)^(n2-b) over a count ``table``
+    ``{(a, b): T[a, b]}`` in its order; its largest key is ``(n1, n2)``, every
+    photon arriving."""
+    check_probability("p1", p1)
+    check_probability("p2", p2)
+    n1, n2 = max(table)
+    w1, w2 = 1 - p1, 1 - p2
+    total = sum(
+        c * p1**a * w1 ** (n1 - a) * p2**b * w2 ** (n2 - b) for (a, b), c in table.items()
+    )
+    return clamp_roundoff(total)
+
+
+# Count table T[a, b] of the 6-photon/7-qudit layout: a of the three channel-1
+# (degree-3) photons and b of the three channel-2 (degree-4) photons arrive.
+PS6_TABLE = {  # by photons lost: 0, 1, 2, 3
+    (3, 3): 1,
+    (3, 2): comb(3, 1), (2, 3): comb(3, 1),
+    (2, 2): comb(3, 1) * comb(3, 1), (3, 1): comb(3, 2), (1, 3): comb(3, 2),
+    (0, 3): 1,
+}
+
+# Count table of the 15-photon/11-qudit layout: a of the eight channel-1
+# (degree-2) photons and b of the seven channel-2 (degree-4) photons arrive.
+PS15_TABLE = {  # by photons lost: 0, 1, 2, 3, 4, 5
+    (8, 7): 1,
+    (8, 6): comb(7, 1), (7, 7): comb(8, 1),
+    (8, 5): comb(7, 2), (6, 7): comb(8, 2), (7, 6): comb(7, 1) * comb(8, 1),
+    # of the C(7,3) three-subsets of channel-2 photons, 20 erase six distinct
+    # qudits and are fatal
+    (8, 4): comb(7, 3) - 20,
+    (5, 7): comb(8, 3), (7, 5): comb(7, 2) * comb(8, 1), (6, 6): comb(7, 1) * comb(8, 2),
+    (4, 7): comb(8, 4), (5, 6): comb(7, 1) * comb(8, 3),
+    # the two mixed corrections subtract the analogous fatal combinations
+    # with two or one channel-1 photons also lost
+    (6, 5): comb(7, 2) * comb(8, 2) - 3 * (
+        comb(2, 1) * comb(2, 1) * comb(6, 2) + comb(2, 1) * comb(1, 1) * comb(5, 2)
+    ),
+    (7, 4): comb(7, 3) * comb(8, 1) - (
+        3 * (comb(2, 2) * comb(2, 1) * comb(5, 1) + comb(2, 2) * comb(1, 1) * comb(4, 2))
+        + 20 * comb(8, 1)
+    ),
+    (3, 7): comb(8, 5),
+}
+
+
 def ps6(p1, p2):
     """Success polynomial of the 6-photon/7-qudit shared-photon layout.
 
     Channel 2 carries the three degree-4 photons (each holding one full qudit
     plus one qubit of the shared qudit); channel 1 carries the three degree-3
-    photons.  Seven monomials: every photon-loss pattern that erases at most
-    three qudits.
+    photons.  Seven terms of :data:`PS6_TABLE`: every photon-loss pattern that
+    erases at most three qudits.
     """
-    check_probability("p1", p1)
-    check_probability("p2", p2)
-    w1, w2 = 1 - p1, 1 - p2
-    total = (
-        p1**3 * p2**3
-        + comb(3, 1) * p2**2 * w2 * p1**3
-        + comb(3, 1) * p1**2 * w1 * p2**3
-        + comb(3, 1) * p2**2 * w2 * comb(3, 1) * p1**2 * w1
-        + comb(3, 2) * p2 * w2**2 * p1**3
-        + comb(3, 2) * p2**3 * w1**2 * p1
-        + p2**3 * w1**3
-    )
-    return clamp_roundoff(total)
-
-
-# Survivor-count corrections of the 15-photon polynomial: of the C(7,3)
-# three-subsets of channel-2 photons, 20 erase six distinct qudits and are
-# fatal; the two mixed corrections subtract the analogous fatal combinations
-# with one or two channel-1 photons also lost.
-_C15_22 = comb(7, 2) * comb(8, 2) - 3 * (
-    comb(2, 1) * comb(2, 1) * comb(6, 2) + comb(2, 1) * comb(1, 1) * comb(5, 2)
-)
-_C15_31 = comb(7, 3) * comb(8, 1) - (
-    3 * (comb(2, 2) * comb(2, 1) * comb(5, 1) + comb(2, 2) * comb(1, 1) * comb(4, 2))
-    + 20 * comb(8, 1)
-)
+    return _table_sum(PS6_TABLE, p1, p2)
 
 
 def ps15(p1, p2):
@@ -161,29 +184,8 @@ def ps15(p1, p2):
 
     Channel 2 carries seven degree-4 photons, each spanning two qudits with
     2+2 qubits; channel 1 carries eight degree-2 photons, each holding half
-    of one qudit.  The corrected coefficients (C(7,3)-20 = 15, 348, 72)
-    remove loss patterns that erase more than five qudits.  The two
-    two-losses-in-one-channel terms carry the squared loss factor their
-    survivor exponents imply.
+    of one qudit.  Fifteen terms of :data:`PS15_TABLE`, whose corrected
+    coefficients (C(7,3)-20 = 15, 348, 72) remove loss patterns that erase
+    more than five qudits.
     """
-    check_probability("p1", p1)
-    check_probability("p2", p2)
-    w1, w2 = 1 - p1, 1 - p2
-    total = (
-        p1**8 * p2**7
-        + comb(7, 1) * p2**6 * w2 * p1**8
-        + comb(8, 1) * p2**7 * w1 * p1**7
-        + comb(7, 2) * p2**5 * w2**2 * p1**8
-        + comb(8, 2) * p2**7 * w1**2 * p1**6
-        + comb(7, 1) * comb(8, 1) * p2**6 * w2 * w1 * p1**7
-        + (comb(7, 3) - 20) * p2**4 * w2**3 * p1**8
-        + comb(8, 3) * p2**7 * w1**3 * p1**5
-        + comb(7, 2) * comb(8, 1) * p2**5 * w2**2 * w1 * p1**7
-        + comb(7, 1) * comb(8, 2) * p2**6 * w2 * w1**2 * p1**6
-        + comb(8, 4) * p2**7 * w1**4 * p1**4
-        + comb(7, 1) * comb(8, 3) * p2**6 * w2 * w1**3 * p1**5
-        + _C15_22 * p2**5 * w2**2 * w1**2 * p1**6
-        + _C15_31 * p2**4 * w2**3 * w1 * p1**7
-        + comb(8, 5) * p2**7 * w1**5 * p1**3
-    )
-    return clamp_roundoff(total)
+    return _table_sum(PS15_TABLE, p1, p2)

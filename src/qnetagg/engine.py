@@ -37,8 +37,9 @@ A two-channel polynomial is also an integer table of surviving loss patterns.
 weights, a photon weighing x_c arriving and 1 lost, with x_1 and x_2 powers of
 two far enough apart that the sum over the erased counts within budget holds
 every entry as its own base-2^(n1+n2+1) digit (Kronecker substitution); no
-Fraction is made.  :func:`count_table` reads a closed form's the same way from
-one exact Fraction call at p = x/(1+x), and :func:`table_evaluator` sums a table.
+Fraction is made.  :func:`table_array` lays out a table written as
+``{(a, b): count}``, as the paper's polynomials are in :mod:`closed_form`, and
+:func:`table_evaluator` sums a table.
 
 Inputs follow the rules in :mod:`model` and are checked where they enter:
 :func:`block_success` checks the code, counts and survivals, :func:`block_evaluator`
@@ -280,55 +281,39 @@ def success_probability(config: MultiplexConfiguration):
     return clamp_roundoff(dist.probability_at_most(config.code.tolerance()))
 
 
-def _digits_table(value: int, photons: tuple[int, int]) -> np.ndarray:
-    """Table ``T[a, b]`` of the base-B digits of ``value`` = sum T[a, b] x1^a x2^b at
-    x1 = B = 2^(n1+n2+1) and x2 = B^(n1+1), ``photons = (n1, n2)``: int64 when every
-    entry fits, else exact Python ints (object), never a float; ``ArithmeticError``
-    if ``value`` is negative or has more digits."""
-    n1, n2 = photons
-    bits, size = n1 + n2 + 1, (n1 + 1) * (n2 + 1)
-    if value >> bits * size:  # -1 for a negative value
-        raise ArithmeticError(f"{value} has no count table over {photons} photons")
-    digit = (1 << bits) - 1
-    digits = [value >> bits * i & digit for i in range(size)]
-    dtype = object if max(digits) >> 63 else np.int64
-    return np.array(digits, dtype).reshape(n2 + 1, n1 + 1).T
-
-
-def count_table(evaluate, photons: tuple[int, int]) -> np.ndarray:
-    """Table ``T`` of ``evaluate(p1, p2)`` = sum T[a, b] p1^a (1-p1)^(n1-a) p2^b (1-p2)^(n2-b),
-    ``photons = (n1, n2)``: the surviving loss patterns by arrivals a, b per channel.  One
-    exact call reads it: at p = x/(1+x), (1+x1)^n1 (1+x2)^n2 P_S = sum T[a, b] x1^a x2^b,
-    whose digits :func:`_digits_table` reads; ``ArithmeticError`` if it is no integer or
-    has more digits.  For a closed form; a layout's table is :func:`layout_table`."""
-    n1, n2 = photons
-    x1 = 1 << n1 + n2 + 1
-    x2 = x1 ** (n1 + 1)
-    value = Fraction(evaluate(Fraction(x1, 1 + x1), Fraction(x2, 1 + x2)))
-    scaled = value * (1 + x1) ** n1 * (1 + x2) ** n2
-    if scaled.denominator != 1:
-        raise ArithmeticError(f"P_S = {value} has no count table over {photons} photons")
-    return _digits_table(scaled.numerator, photons)
-
-
 def layout_table(config: MultiplexConfiguration) -> np.ndarray:
-    """:func:`count_table` of a two-channel layout, axes in ``config.channels`` order,
-    in integers: the :func:`loss_distribution` walk and fold with a photon weighing
-    x arriving, 1 lost and x + 1 either way, at x1 = B on the first channel and
+    """Count table ``T`` of a two-channel layout, its success polynomial being
+    sum T[a, b] p1^a (1-p1)^(n1-a) p2^b (1-p2)^(n2-b): the surviving loss patterns by
+    arrivals a, b per channel, axes in ``config.channels`` order.  The
+    :func:`loss_distribution` walk and fold with a photon weighing x arriving, 1 lost
+    and x + 1 either way, at x1 = B = 2^(n1+n2+1) on the first channel and
     x2 = B^(n1+1) on the second, give each erased count's sum T[a, b] x1^a x2^b as
-    one Python int; those within the budget are summed and their digits read.  The
+    one Python int; those within the budget are summed and their base-B digits read.
+    int64 when every entry fits, else exact Python ints (object), never a float.  The
     channel probabilities are not read.  ``ValueError`` unless two channels."""
     if len(config.channels) != 2:
         raise ValueError(f"a count table needs two channels, not {len(config.channels)}")
     first, second = (ch.id for ch in config.channels)
     n1 = sum(ph.channel_id == first for ph in config.photons)
     n2 = len(config.photons) - n1
-    x1 = 1 << n1 + n2 + 1
+    bits = n1 + n2 + 1
+    x1 = 1 << bits
     x2 = x1 ** (n1 + 1)
     weights = {first: (x1, 1, x1 + 1), second: (x2, 1, x2 + 1)}
     pmf = _fold(config, lambda cluster: np.array(_walk(cluster.signature, weights), object))
-    budget = config.code.tolerance() - config.withheld
-    return _digits_table(sum(pmf[: budget + 1]), (n1, n2))
+    value = sum(pmf[: config.code.tolerance() - config.withheld + 1])
+    digits = [(value >> bits * i) & (x1 - 1) for i in range((n1 + 1) * (n2 + 1))]
+    dtype = object if max(digits) >> 63 else np.int64
+    return np.array(digits, dtype).reshape(n2 + 1, n1 + 1).T
+
+
+def table_array(counts: dict) -> np.ndarray:
+    """The int64 count table of ``counts`` = ``{(a, b): T[a, b]}``, such as
+    :data:`~qnetagg.closed_form.PS15_TABLE`, 0 where it has no key; its largest
+    key is ``(n1, n2)``, every photon arriving."""
+    table = np.zeros(np.add(max(counts), 1), np.int64)
+    table[tuple(zip(*counts))] = list(counts.values())
+    return table
 
 
 def _bernstein(coefficients, p):
@@ -341,7 +326,7 @@ def _bernstein(coefficients, p):
 
 
 def table_evaluator(table: np.ndarray, p2):
-    """``p1 -> P_S`` of a :func:`count_table`, its ``p2`` sums taken once, for floats,
+    """``p1 -> P_S`` of a count table, its ``p2`` sums taken once, for floats,
     arrays of one shape or Fractions; unclamped, so a table difference works too."""
     rows = _bernstein(table, np.asarray(p2)[..., None])
     return lambda p1: _bernstein(rows, p1)

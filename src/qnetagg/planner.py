@@ -12,15 +12,16 @@ on a one-point grid.
 
 Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  The two
 shared-photon scenarios of the paper's Fig. 4 sum the integer count table of
-their polynomial, read once on first use (:func:`engine.layout_table` of the
-``shared7`` layout, :func:`engine.count_table` of ``ps15``) and certified
-monotone in integers before any bisection relies on it.  In the
-two-channel uniform scenario the ``n``-qudit block travels in the adjustable
-channel (``p1``) and the remaining ``d - n`` qudits in the reference channel
-(``p2``); the closed-form anchor points are only consistent with that
-assignment, so it is fixed here rather than left to callers; single-channel
-is its n = d case.  ``p1`` and ``p2`` are checked where they enter
-(:meth:`Scenario.evaluate`, the sweep grid), not in a bisection step.
+their polynomial, built once on first use (:func:`engine.layout_table` of the
+``shared7`` layout, :data:`closed_form.PS15_TABLE` as written) and certified
+monotone in integers before any bisection relies on it; neither calls a
+closed form.  In the two-channel uniform scenario the ``n``-qudit block
+travels in the adjustable channel (``p1``) and the remaining ``d - n`` qudits
+in the reference channel (``p2``); the closed-form anchor points are only
+consistent with that assignment, so it is fixed here rather than left to
+callers; single-channel is its n = d case.  ``p1`` and ``p2`` are checked
+where they enter (:meth:`Scenario.evaluate`, the sweep grid), not in a
+bisection step.
 
 :func:`allocate` builds the minimal split directly: success never falls when
 a qudit moves to a channel of higher ``p``, so one pass over the channels,
@@ -155,9 +156,9 @@ def shared_photon_7_scenario() -> Scenario:
 @lru_cache(maxsize=None)
 def shared_photon_11_scenario() -> Scenario:
     """Fifteen photons, eleven qudits, mixed multiplexing degrees: the table
-    of the paper's polynomial :func:`~qnetagg.closed_form.ps15`, which no
+    :data:`~qnetagg.closed_form.PS15_TABLE` of the paper's polynomial, which no
     wiring realises (:mod:`qnetagg.wiring`), so no layout can stand in."""
-    return _table_scenario("shared11", engine.count_table(closed_form.ps15, (8, 7)), 11)
+    return _table_scenario("shared11", engine.table_array(closed_form.PS15_TABLE), 11)
 
 
 def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -330,15 +331,19 @@ def _allocation_success(problem: AllocationProblem, code: QrsCode, split) -> flo
 
 
 def _check_problem(problem: AllocationProblem, target: float) -> None:
-    """Raise ``ValueError`` naming the first entry of the problem that is invalid."""
+    """Raise ``ValueError`` naming the first invalid entry of the problem, or an empty list."""
     check_probability("target", target)
+    if not problem.channels or not problem.codes:
+        raise ValueError(f"the problem lists no {'codes' if problem.channels else 'channels'}")
     for j, ch in enumerate(problem.channels):
         if ch.id in [other.id for other in problem.channels[:j]]:
             raise ValueError(f"channel {ch.id!r}: id appears more than once")
         check_probability(f"channel {ch.id!r}: p", ch.p)
         if ch.capacity < 0:
             raise ValueError(f"channel {ch.id!r}: capacity {ch.capacity} is negative")
-    for code in problem.codes:
+    for j, code in enumerate(problem.codes):
+        if code in problem.codes[:j]:
+            raise ValueError(f"code d={code.d} k={code.k}: appears more than once")
         check_code(code)
 
 

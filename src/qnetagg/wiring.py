@@ -12,8 +12,8 @@ two-vertex cycle is a doubled edge).
 
 ``search_shared_photon_wiring`` decides the match exactly: it compares each
 class's integer count table (:func:`engine.layout_table`, one walk of its
-layout in integer weights, built once per process) with that of :func:`ps15`
-(:func:`engine.count_table`, one Fraction call).  The same table
+layout in integer weights, built once per process) with the reference table
+:data:`~qnetagg.closed_form.PS15_TABLE` as written.  The same table
 differences, summed at random probability pairs, rank the classes and give
 the closest miss's reported deviation, so a search walks no layout and
 evaluates no closed form.  A no-match outcome is a finding about the
@@ -26,13 +26,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from . import engine
-from .closed_form import ps15
+from . import closed_form, engine
 from .model import Channel, MultiplexConfiguration, Photon, QrsCode
 
 FAMILY_CODE = QrsCode(11, 6)
@@ -101,20 +99,11 @@ def _class_table(components: Sequence[Component]) -> np.ndarray:
     return engine.layout_table(wiring_configuration(components, 0.5, 0.5))
 
 
-def three_matching_count(components: Sequence[Component]) -> int:
-    """Number of 3-subsets of channel-2 photons that erase six distinct qudits (the
-    multigraph's 3-matchings): C(n2, 3) less the count table's survivors of those
-    losses with every channel-1 photon arriving."""
-    table = _class_table(components)
-    shared = table.shape[1] - 1
-    return comb(shared, 3) - int(table[-1, shared - 3]) if shared >= 3 else 0
-
-
 @lru_cache(maxsize=None)
 def _tables() -> tuple[dict[tuple[Component, ...], np.ndarray], np.ndarray]:
-    """Count tables of every class and of :func:`ps15`, built on the first search."""
+    """Count tables of every class and the reference table, built on the first search."""
     classes = {c: _class_table(c) for c in enumerate_wiring_classes()}
-    return classes, engine.count_table(ps15, (SINGLE_PHOTONS, SHARED_PHOTONS))
+    return classes, engine.table_array(closed_form.PS15_TABLE)
 
 
 @dataclass(frozen=True)
@@ -140,7 +129,7 @@ class WiringSearchResult:
 def search_shared_photon_wiring(seed: int = 20260810) -> WiringSearchResult:
     """Compare every wiring class against the reference polynomial.
 
-    A class matches when its count table equals :func:`ps15`'s, an exact verdict.
+    A class matches when its count table equals the reference table, an exact verdict.
     The closest class has the smallest worst table difference over ``PROBE_PAIRS``
     pairs drawn from ``seed``, and that difference is its reported deviation.
     """

@@ -8,6 +8,7 @@ of binomial formulas, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +60,28 @@ def pattern_counts(config: MultiplexConfiguration) -> np.ndarray:
     survived = lost <= budget
     np.add.at(table, (arrivals[first][survived], arrivals[second][survived]), 1)
     return table
+
+
+def polynomial_table(evaluate, photons: tuple[int, int]) -> np.ndarray:
+    """Table ``T`` of ``evaluate(p1, p2)`` = sum T[a, b] p1^a (1-p1)^(n1-a) p2^b (1-p2)^(n2-b),
+    ``photons = (n1, n2)``, from one exact Fraction call (Kronecker substitution).
+
+    At p = x/(1+x), (1+x1)^n1 (1+x2)^n2 P_S = sum T[a, b] x1^a x2^b; with
+    x1 = B = 2^(n1+n2+1) and x2 = B^(n1+1) each entry is one base-B digit.  A
+    polynomial evaluation, unlike ``engine.layout_table``'s integer walk.
+    int64 when every entry fits, else Python ints (object); ``ArithmeticError``
+    if the scaled value is no integer, negative, or has more digits."""
+    n1, n2 = photons
+    bits, size = n1 + n2 + 1, (n1 + 1) * (n2 + 1)
+    x1 = 1 << bits
+    x2 = x1 ** (n1 + 1)
+    value = Fraction(evaluate(Fraction(x1, 1 + x1), Fraction(x2, 1 + x2)))
+    scaled = value * (1 + x1) ** n1 * (1 + x2) ** n2
+    if scaled.denominator != 1 or scaled.numerator >> bits * size:  # -1 when negative
+        raise ArithmeticError(f"P_S = {value} has no count table over {photons} photons")
+    digits = [(scaled.numerator >> bits * i) & (x1 - 1) for i in range(size)]
+    dtype = object if max(digits) >> 63 else np.int64
+    return np.array(digits, dtype).reshape(n2 + 1, n1 + 1).T
 
 
 def clusters(config: MultiplexConfiguration) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -262,11 +262,27 @@ def test_allocate_reports_aggregated_split(tmp_path):
     assert report["split"] == {"blue": 2, "red": 2, "black": 1}
 
 
-def test_allocate_empty_channels_exit_4(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"channels": [], "codes": [{"d": 3, "k": 2}], "q": 1}))
-    result = run_cli(["allocate", str(path)])
-    assert result.returncode == 4
+@pytest.mark.parametrize(
+    "channels,codes,named",
+    [
+        ([], [{"d": 3, "k": 2}], "the problem lists no channels"),
+        ([{"id": "a", "p": 0.95, "capacity": 9}], [], "the problem lists no codes"),
+        (
+            [{"id": "a", "p": 0.95, "capacity": 9}],
+            [{"d": 7, "k": 4}, {"d": 7, "k": 4}],
+            "code d=7 k=4: appears more than once",
+        ),
+    ],
+    ids=["no-channels", "no-codes", "repeated-code"],
+)
+def test_allocate_empty_or_repeated_entries_exit_2(tmp_path, channels, codes, named):
+    # never a silent "no feasible allocation", nor one solution listed twice
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"channels": channels, "codes": codes, "q": 1}))
+    result = run_cli(["allocate", str(path), "--target", "0.9"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"allocate: {named}"]
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from conftest import random_configuration, two_channel_layouts
 from oracles import chain_loss_pmf, enumerate_success, pattern_counts, pgf_loss_pmf, pgf_success
+from oracles import polynomial_table
 from oracles import clusters as oracle_clusters
 from qnetagg import closed_form, engine, planner
 from qnetagg.engine import (
@@ -777,8 +778,8 @@ def test_block_success_rejects_invalid_input(code, blocks, named):
 
 
 def walk_table(build, photons):
-    """:func:`engine.count_table` of the walk over ``build(p1, p2)``."""
-    return engine.count_table(lambda p1, p2: success_probability(build(p1, p2)), photons)
+    """:func:`oracles.polynomial_table` of the Fraction walk over ``build(p1, p2)``."""
+    return polynomial_table(lambda p1, p2: success_probability(build(p1, p2)), photons)
 
 
 def two_channel_layout(rng: random.Random) -> MultiplexConfiguration:
@@ -844,12 +845,16 @@ def test_layout_table_needs_two_channels_and_a_valid_layout():
 
 
 def test_count_table_keeps_exact_digits_beyond_int64():
-    # C(67, 33) lies in [2^63, 2^64), next to entries as small as 1
-    table = engine.count_table(lambda p1, p2: 1, (67, 0))
-    assert table.dtype == object
-    assert table[:, 0].tolist() == [comb(67, a) for a in range(68)]
+    # 67 single-qudit photons on channel a: T[a, 0] = C(67, a) once a >= k = 34,
+    # and C(67, 34) lies in [2^63, 2^64), next to entries as small as 1
+    code = QrsCode(67, 34)
+    config = uniform_configuration(code, 7, [(Channel("a", 0.5), 67), (Channel("b", 0.5), 0)])
+    table = engine.layout_table(config)
+    assert table.dtype == object and comb(67, 34) >> 63
+    assert table[:, 0].tolist() == [comb(67, a) if a >= 34 else 0 for a in range(68)]
     assert all(type(x) is int for x in table.flat)
-    assert engine.count_table(lambda p1, p2: 1, (3, 2)).dtype == np.int64
+    small = [(Channel("a", 0.5), 5), (Channel("b", 0.5), 2)]
+    assert engine.layout_table(uniform_configuration(QrsCode(7, 4), 1, small)).dtype == np.int64
 
 
 def test_layout_table_of_many_photons_sums_to_its_success_probability():
@@ -871,19 +876,24 @@ def test_layout_table_of_many_photons_sums_to_its_success_probability():
 
 
 def test_count_table_of_ps6_is_the_shared7_table():
-    table = walk_table(shared7_configuration, (3, 3))
+    table = engine.table_array(closed_form.PS6_TABLE)
+    shared7 = engine.layout_table(shared7_configuration(0.5, 0.5))
+    assert table.dtype == shared7.dtype == np.int64
+    assert np.array_equal(table, shared7)
     assert np.array_equal(table, pattern_counts(shared7_configuration(0.5, 0.5)))
-    assert np.array_equal(engine.count_table(closed_form.ps6, (3, 3)), table)
-    assert np.count_nonzero(table) == 7
+    assert np.array_equal(table, polynomial_table(closed_form.ps6, (3, 3)))
+    assert np.count_nonzero(table) == len(closed_form.PS6_TABLE) == 7
+    planner._check_monotone(table)
 
 
 def test_count_table_rejects_what_is_no_table():
+    # the oracle read refuses what no count table gives
     with pytest.raises(ArithmeticError):
-        engine.count_table(lambda p1, p2: p1 / 3, (1, 1))
+        polynomial_table(lambda p1, p2: p1 / 3, (1, 1))
     with pytest.raises(ArithmeticError):  # integral, but with digits beyond the table
-        engine.count_table(lambda p1, p2: 2**40, (1, 1))
+        polynomial_table(lambda p1, p2: 2**40, (1, 1))
     with pytest.raises(ArithmeticError):  # no count is negative
-        engine.count_table(lambda p1, p2: -p1, (1, 1))
+        polynomial_table(lambda p1, p2: -p1, (1, 1))
 
 
 def test_table_evaluator_takes_floats_arrays_and_fractions(rng):

@@ -501,14 +501,26 @@ def test_large_code_sweep_is_finite_and_monotone():
             (QrsCode(7, 4),),
             "channel 'a': id appears more than once",
         ),
+        ((), (QrsCode(3, 2),), "the problem lists no channels"),
+        ((ChannelSpec("a", 0.9, 9),), (), "the problem lists no codes"),
+        (
+            (ChannelSpec("a", 0.95, 9),),
+            (QrsCode(7, 4), QrsCode(3, 2), QrsCode(7, 4)),
+            "code d=7 k=4: appears more than once",
+        ),
     ],
-    ids=["probability", "capacity", "code", "repeated-id"],
+    ids=[
+        "probability", "capacity", "code", "repeated-id", "no-channels", "no-codes",
+        "repeated-code",
+    ],
 )
 def test_allocate_rejects_invalid_entries(channels, codes, names):
     problem = AllocationProblem(channels=channels, codes=codes, q=1)
     with pytest.raises(ValueError, match=names) as info:
         allocate(problem)
     assert not isinstance(info.value, Infeasible)
+    with pytest.raises(ValueError, match=names):
+        planner.single_channel_solutions(problem)
 
 
 # --- allocation by greedy completion --------------------------------------------------
@@ -593,21 +605,17 @@ def test_table_scenario_equals_its_polynomial(build, polynomial):
 def test_table_scenario_reads_its_table_once(build, polynomial, monkeypatch):
     assert build() is build()
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return polynomial(*args)
-
-    monkeypatch.setattr(closed_form, polynomial.__name__, counted)
+    for name in ("ps6", "ps15", "ps_single", "ps_single_withheld", "ps_two_channel"):
+        monkeypatch.setattr(closed_form, name, lambda *args, name=name: calls.append(name))
     sweep_curve(build.__wrapped__(), grid_points(*planner.DEFAULT_GRID))
-    # shared7 is read from its layout's walk; shared11 reads ps15 once, exactly
-    assert len(calls) == (0 if polynomial.__name__ == "ps6" else 1)
-    assert all(isinstance(p, Fraction) for args in calls for p in args)
+    # a cold build and sweep call no closed form: shared7 reads its layout's walk,
+    # shared11 the table ps15 is written as
+    assert calls == []
 
 
 def test_table_scenarios_check_the_monotonicity_certificate():
     shared7 = engine.layout_table(shared7_configuration(0.9, 0.95))
-    ps15 = engine.count_table(closed_form.ps15, (8, 7))
+    ps15 = engine.table_array(closed_form.PS15_TABLE)
     for table in (shared7, ps15):
         planner._check_monotone(table)
     scenario = planner._table_scenario("shared7", shared7, 7)

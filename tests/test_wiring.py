@@ -5,8 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import pattern_counts
-from qnetagg import engine, planner, wiring
+from oracles import pattern_counts, polynomial_table
+from qnetagg import closed_form, engine, planner, wiring
 from qnetagg.closed_form import ps15
 from qnetagg.model import validate
 from qnetagg.wiring import (
@@ -16,7 +16,6 @@ from qnetagg.wiring import (
     component_vertices,
     enumerate_wiring_classes,
     search_shared_photon_wiring,
-    three_matching_count,
     wiring_configuration,
 )
 
@@ -84,8 +83,15 @@ def test_class_table_validates_its_layout_once(monkeypatch):
     assert len(calls) == 1
 
 
+def three_matching_count(components) -> int:
+    """3-subsets of channel-2 photons that erase six distinct qudits (the
+    multigraph's 3-matchings): C(7, 3) less the class table's T[8, 4], the
+    survivors of those losses with every channel-1 photon arriving."""
+    return comb(SHARED_PHOTONS, 3) - int(wiring._class_table(components)[SINGLE_PHOTONS, 4])
+
+
 def test_three_matching_counts():
-    # closed forms checked against direct subset enumeration
+    # the table entry checked against direct subset enumeration
     def direct(components):
         edges = []
         next_v = 0
@@ -212,15 +218,18 @@ def test_search_best_is_the_first_smallest_per_class_gap(seed):
 
 
 def test_search_walks_no_layout_and_no_closed_form(monkeypatch):
-    # once the tables are built, the verdict, ranking and deviation come from them alone
-    wiring._tables()
-
     def forbidden(*args, **kwargs):
         raise AssertionError("the search evaluated a layout or a closed form")
 
+    for name in ("ps6", "ps15", "ps_single", "ps_single_withheld", "ps_two_channel"):
+        monkeypatch.setattr(closed_form, name, forbidden)
+    # a cold build walks each class once in integers and reads the reference table as written
+    wiring._tables.cache_clear()
+    classes, ref = wiring._tables()
+    assert len(classes) == 40 and np.array_equal(ref, ps15_table())
+    # once the tables are built, the verdict, ranking and deviation come from them alone
     monkeypatch.setattr(wiring, "wiring_configuration", forbidden)
     monkeypatch.setattr(engine, "success_probability", forbidden)
-    monkeypatch.setattr(wiring, "ps15", forbidden)
     for seed in (20260810, 1, 2, 3, 7):
         result = search_shared_photon_wiring(seed)
         assert result.best == CHERRY and result.matched is None
@@ -230,7 +239,7 @@ def test_search_walks_no_layout_and_no_closed_form(monkeypatch):
 
 
 def ps15_table():
-    return engine.count_table(ps15, (SINGLE_PHOTONS, SHARED_PHOTONS))
+    return engine.table_array(closed_form.PS15_TABLE)
 
 
 @pytest.mark.parametrize("components", [CHERRY, (("cycle", 7),), (("path", 3), ("cycle", 4))])
@@ -240,11 +249,11 @@ def test_class_table_equals_pattern_counts(components):
 
 
 def test_class_tables_equal_the_fraction_walks_tables():
-    # the integer read against count_table of the exact Fraction walk, all 40 classes
+    # the integer read against the oracle read of the exact Fraction walk, all 40 classes
     tables, _ = wiring._tables()
     for components, table in tables.items():
         shared = sum(m for _, m in components)
-        walk = engine.count_table(
+        walk = polynomial_table(
             lambda p1, p2: engine.success_probability(wiring_configuration(components, p1, p2)),
             (2 * 11 - 2 * shared, shared),
         )
@@ -264,10 +273,20 @@ def test_class_tables_and_ps15s_pass_the_monotonicity_certificate():
 
 def test_ps15_table_facts():
     table = ps15_table()
-    assert table.shape == (SINGLE_PHOTONS + 1, SHARED_PHOTONS + 1)
+    assert table.shape == (SINGLE_PHOTONS + 1, SHARED_PHOTONS + 1) and table.dtype == np.int64
     assert np.count_nonzero(table) == 15
-    # the three corrected coefficients: C(7,3) - 20, _C15_22 and _C15_31
+    # the three corrected coefficients
     assert (table[8, 4], table[6, 5], table[7, 4]) == (15, 348, 72)
+    # every entry, as the Fraction read of the hand-expanded polynomial gave it
+    entries = {
+        (3, 7): 56, (4, 7): 70, (5, 6): 392, (5, 7): 56, (6, 5): 348,
+        (6, 6): 196, (6, 7): 28, (7, 4): 72, (7, 5): 168, (7, 6): 56,
+        (7, 7): 8, (8, 4): 15, (8, 5): 21, (8, 6): 7, (8, 7): 1,
+    }
+    assert closed_form.PS15_TABLE == entries
+    assert {ab: int(c) for ab, c in np.ndenumerate(table) if c} == entries
+    # and the table sum reads back as its own table
+    assert np.array_equal(polynomial_table(ps15, (SINGLE_PHOTONS, SHARED_PHOTONS)), table)
 
 
 def test_no_class_table_equals_ps15s():
@@ -279,13 +298,10 @@ def test_no_class_table_equals_ps15s():
 
 
 def test_search_verdict_is_exact_table_equality(monkeypatch):
-    # a reference polynomial some class does realise is found as that class
+    # a reference table some class does realise is found as that class
     target = (("path", 3), ("cycle", 4))
-    monkeypatch.setattr(
-        wiring,
-        "ps15",
-        lambda p1, p2: engine.success_probability(wiring_configuration(target, p1, p2)),
-    )
+    realised = {ab: int(c) for ab, c in np.ndenumerate(wiring._class_table(target)) if c}
+    monkeypatch.setattr(closed_form, "PS15_TABLE", realised)
     wiring._tables.cache_clear()
     try:
         result = search_shared_photon_wiring()
