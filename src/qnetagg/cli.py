@@ -16,14 +16,7 @@ import json
 import sys
 
 from . import __version__, montecarlo, planner
-from .model import (
-    SCHEMA_VERSION,
-    InvalidConfiguration,
-    QrsCode,
-    known_keys,
-    load_config,
-    read_field,
-)
+from .model import SCHEMA_VERSION, InvalidConfiguration, QrsCode, load_config, read_document
 from .engine import success_probability
 
 EXIT_OK = 0
@@ -91,27 +84,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _load_problem(path: str) -> planner.AllocationProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = known_keys(json.load(fh), "the problem")
-    return planner.AllocationProblem(
-        channels=tuple(
-            planner.ChannelSpec(
-                read_field(known_keys(c, "a problem channel"), "id", str),
-                read_field(c, "p", float), read_field(c, "capacity", int),
-            )
-            for c in read_field(doc, "channels", list)
-        ),
-        codes=tuple(
-            QrsCode(read_field(known_keys(c, "a problem code"), "d", int), read_field(c, "k", int))
-            for c in read_field(doc, "codes", list)
-        ),
-        q=read_field(doc, "q", int, 1),
-    )
-
-
 def cmd_allocate(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = planner.problem_from_dict(read_document(args.problem))
     result = planner.allocate(problem, args.target)
     out = result.summary(problem)
     out["single_channel_solutions"] = [

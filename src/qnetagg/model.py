@@ -122,7 +122,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class QrsCode:
-    """Erasure-code parameters ``(d, k)``.
+    """Erasure-code parameters ``(d, k)``, integers (a float raises ``TypeError``).
 
     ``d`` physical qudits of dimension ``d`` encode ``2k - d`` logical
     qudits and tolerate up to ``d - k`` erasures.  Parameter sanity beyond
@@ -135,6 +135,8 @@ class QrsCode:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", index(self.d))
+        object.__setattr__(self, "k", index(self.k))
         if self.d < 1 or self.k < 1:
             raise ValueError("code parameters must be positive")
 
@@ -322,11 +324,11 @@ def validate(config: MultiplexConfiguration) -> MultiplexConfiguration:
 
 
 def photons_per_qudit(code: QrsCode, q: int) -> int:
-    """Photons needed per qudit when every photon carries up to ``q`` qubits."""
-    if q < 1:
+    """Photons needed per qudit when every photon carries up to ``q`` qubits (an
+    integer: a float raises ``TypeError``)."""
+    if index(q) < 1:
         raise ValueError("q must be >= 1")
-    qb = code.qubits_per_qudit()
-    return -(-qb // q)
+    return -(-code.qubits_per_qudit() // q)
 
 
 def uniform_configuration(
@@ -382,6 +384,8 @@ def shared7_configuration(p1: float, p2: float) -> MultiplexConfiguration:
 # {"code": {"d": 7, "k": 4}, "withheld": 0,
 #  "channels": [{"id": "ch1", "p": 0.96}],
 #  "photons": [{"channel": "ch1", "carries": [{"qudit": 0, "qubits": 3}]}, ...]}
+# One :func:`read_object` call reads each object of it (and of an allocation problem,
+# ``planner.problem_from_dict``), naming every key the object may hold with its kind.
 
 SCHEMA_VERSION = 1
 
@@ -404,67 +408,77 @@ def config_to_dict(config: MultiplexConfiguration) -> dict:
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
 
 
-def read_field(doc, key: str, kind: type, default=None):
-    """``doc[key]`` of a JSON object, of ``kind``: ``dict``, ``list``, ``str``, ``int``
-    or ``float`` (any number, returned as a float); ``default`` for an absent key
-    unless ``None``.  ``ValueError`` names the key for anything else."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"malformed document: {type(doc).__name__} holds no {key!r}")
-    if key not in doc and default is None:
-        raise ValueError(f"missing key {key!r}")
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(
-            f"malformed document: {key!r} must be {_KINDS[kind]}, not {type(value).__name__}"
-        )
-    try:
-        return float(value) if kind is float else value
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"malformed document: {key!r} is too large a number") from None
-
-
-_DOCUMENT_KEYS = {  # the keys each object of a configuration or problem document may hold
-    "the document": {"code", "withheld", "channels", "photons"}, "'code'": {"d", "k"},
-    "a channel": {"id", "p"}, "a photon": {"channel", "carries"}, "a carry": {"qudit", "qubits"},
-    "the problem": {"channels", "codes", "q"}, "a problem channel": {"id", "p", "capacity"},
-    "a problem code": {"d", "k"},
-}
-
-
-def known_keys(obj, where: str):
-    """``obj``; ``ValueError`` names a key that a JSON object ``where`` may not hold."""
-    keys = _DOCUMENT_KEYS[where]
-    if isinstance(obj, dict) and not obj.keys() <= keys:
-        raise ValueError(f"malformed document: unknown key {min(obj.keys() - keys)!r} in {where}")
-    return obj
+def read_object(obj, where: str, **fields) -> list:
+    """The values, in ``fields`` order, of the JSON object ``obj`` (``where`` names it):
+    ``key=kind`` (``dict``, ``list``, ``str``, ``int`` or ``float``, any number read as a
+    float) or ``key=(kind, default)``.  ``ValueError`` names a bad key or value."""
+    if type(obj) is dict and len(obj) == len(fields):  # the common case: one type test a key
+        values = []
+        for key, kind in fields.items():
+            value = obj.get(key)
+            if type(value) is not kind:
+                break
+            values.append(value)
+        else:
+            return values
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed document: {type(obj).__name__} holds no {[*fields][0]!r}")
+    if not obj.keys() <= fields.keys():
+        unknown = min(obj.keys() - fields.keys())
+        raise ValueError(f"malformed document: unknown key {unknown!r} in {where}")
+    values = []
+    for key, kind in fields.items():
+        kind, default = kind if type(kind) is tuple else (kind, None)
+        if key not in obj and default is None:  # a JSON null is a value, of the wrong kind
+            raise ValueError(f"missing key {key!r}")
+        value, accepted = obj.get(key, default), (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(
+                f"malformed document: {key!r} must be {_KINDS[kind]}, not {type(value).__name__}"
+            )
+        try:
+            values.append(float(value) if kind is float else value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"malformed document: {key!r} is too large a number") from None
+    return values
 
 
 def config_from_dict(doc: dict) -> MultiplexConfiguration:
-    spec = read_field(known_keys(doc, "the document"), "code", dict)
-    code = QrsCode(read_field(known_keys(spec, "'code'"), "d", int), read_field(spec, "k", int))
-    channels = tuple(
-        Channel(read_field(known_keys(c, "a channel"), "id", str), read_field(c, "p", float))
-        for c in read_field(doc, "channels", list)
+    code, channels, photons, withheld = read_object(
+        doc, "the document", code=dict, channels=list, photons=list, withheld=(int, 0)
     )
-    photons = tuple(
-        Photon(
-            read_field(known_keys(p, "a photon"), "channel", str),
-            tuple(
-                (read_field(known_keys(c, "a carry"), "qudit", int), read_field(c, "qubits", int))
-                for c in read_field(p, "carries", list)
-            ),
-        )
-        for p in read_field(doc, "photons", list)
+    photons = (read_object(p, "a photon", channel=str, carries=list) for p in photons)
+    return MultiplexConfiguration(
+        QrsCode(*read_object(code, "'code'", d=int, k=int)),
+        tuple(Channel(*read_object(c, "a channel", id=str, p=float)) for c in channels),
+        tuple(
+            Photon(channel, [read_object(c, "a carry", qudit=int, qubits=int) for c in carries])
+            for channel, carries in photons
+        ),
+        withheld,
     )
-    return MultiplexConfiguration(code, channels, photons, read_field(doc, "withheld", int, 0))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; ``ValueError`` names a key it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ValueError(f"malformed document: duplicate key {repeated!r} in one object")
+    return obj
+
+
+def read_document(path: str):
+    """The JSON document at ``path``; ``ValueError`` names a key repeated in an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def load_config(path: str) -> MultiplexConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_document(path))
 
 
 def save_config(config: MultiplexConfiguration, path: str) -> None:
+    text = json.dumps(config_to_dict(config), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

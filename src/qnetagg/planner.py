@@ -41,7 +41,7 @@ import numpy as np
 
 from . import closed_form, engine
 from .model import (
-    QrsCode, check_code, check_probability, clamp_roundoff, photons_per_qudit,
+    QrsCode, check_code, check_probability, clamp_roundoff, photons_per_qudit, read_object,
     shared7_configuration,
 )
 
@@ -302,6 +302,17 @@ class AllocationProblem:
     channels: tuple[ChannelSpec, ...]
     codes: tuple[QrsCode, ...]
     q: int = 1
+
+
+def problem_from_dict(doc) -> AllocationProblem:
+    """The problem of a JSON document, read as :func:`model.config_from_dict` reads one."""
+    channels, codes, q = read_object(doc, "the problem", channels=list, codes=list, q=(int, 1))
+    where = "a problem channel"
+    return AllocationProblem(
+        tuple(ChannelSpec(*read_object(c, where, id=str, p=float, capacity=int)) for c in channels),
+        tuple(QrsCode(*read_object(c, "a problem code", d=int, k=int)) for c in codes),
+        q,
+    )
 
 
 @dataclass(frozen=True)

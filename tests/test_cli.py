@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from qnetagg import cli
+from qnetagg import cli, planner
 from qnetagg.model import (
     Channel,
     MultiplexConfiguration,
     Photon,
     QrsCode,
     config_to_dict,
+    load_config,
+    read_document,
     save_config,
     uniform_configuration,
 )
@@ -488,6 +490,8 @@ ALLOCATION = {"channels": [{"id": "a", "p": 0.95, "capacity": 7}], "codes": [{"d
         ("success", ("withheld",), "true", "'withheld' must be an integer, not bool"),
         ("success", ("code",), "[7, 4]", "'code' must be an object, not list"),
         ("success", ("photons",), "6", "'photons' must be a list, not int"),
+        ("success", ("channels", 0, "p"), "1" + "0" * 400, "'p' is too large a number"),
+        ("success", ("channels", 0, "p"), "null", "'p' must be a number, not NoneType"),
         ("allocate", ("channels", 0, "capacity"), "1e400", "'capacity' must be an integer"),
         ("allocate", ("channels", 0, "p"), '"0.95"', "'p' must be a number, not str"),
         ("allocate", ("channels", 0, "capacity"), "7.9", "'capacity' must be an integer"),
@@ -496,8 +500,8 @@ ALLOCATION = {"channels": [{"id": "a", "p": 0.95, "capacity": 7}], "codes": [{"d
     ],
     ids=[
         "qudit-overflow", "qudit-fraction", "d-fraction", "p-string", "withheld-bool",
-        "code-list", "photons-number", "capacity-overflow", "channel-p-string",
-        "capacity-fraction", "q-fraction", "channel-number",
+        "code-list", "photons-number", "p-overflow", "p-null", "capacity-overflow",
+        "channel-p-string", "capacity-fraction", "q-fraction", "channel-number",
     ],
 )
 def test_document_value_of_wrong_kind_exit_2(tmp_path, command, where, raw, named):
@@ -566,6 +570,50 @@ def test_unknown_problem_key_exit_2(tmp_path, where, key, named):
     assert result.stdout == ""
     line = assert_one_line_exit_2(result, "allocate: malformed document: unknown key ")
     assert line.endswith(named)
+
+
+@pytest.mark.parametrize(
+    "command,once,twice",
+    [
+        ("success", '"p": 0.96', '"p": 0.99, "p": 0.5'),
+        ("allocate", '"capacity": 7', '"capacity": 7, "capacity": 0'),
+    ],
+    ids=["success", "allocate"],
+)
+def test_duplicate_document_key_exit_2(tmp_path, command, once, twice):
+    # a repeated key is an error, never read as its last value
+    if command == "success":
+        doc = config_to_dict(uniform_configuration(QrsCode(7, 4), 1, [(Channel("c", 0.96), 7)]))
+    else:
+        doc = ALLOCATION
+    text = json.dumps(doc)
+    assert text.count(once) == 1
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace(once, twice))
+    result = run_cli([command, str(path)])
+    assert result.stdout == ""
+    key = once.split('"')[1]
+    line = assert_one_line_exit_2(result, f"{command}: malformed document: duplicate key ")
+    assert line == f"{command}: malformed document: duplicate key {key!r} in one object"
+
+
+def test_readme_documents_read(tmp_path):
+    # the two JSON examples of README.md, in order: a configuration and an allocation problem
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = [block.split("```")[0] for block in readme.split("```json\n")[1:]]
+    assert len(blocks) == 2
+    paths = [tmp_path / "config.json", tmp_path / "problem.json"]
+    for path, block in zip(paths, blocks):
+        path.write_text(block)
+    config = load_config(str(paths[0]))
+    assert config == MultiplexConfiguration(
+        QrsCode(7, 4), (Channel("ch1", 0.96),), (Photon("ch1", ((0, 3),)),), withheld=0
+    )
+    problem = planner.problem_from_dict(read_document(str(paths[1])))
+    assert [(ch.id, ch.capacity) for ch in problem.channels] == [
+        ("blue", 2), ("red", 2), ("black", 7)
+    ]
+    assert problem.codes == (QrsCode(3, 2), QrsCode(5, 3), QrsCode(7, 4)) and problem.q == 1
 
 
 def test_cluster_beyond_engine_limit_exit_2(tmp_path):

@@ -827,6 +827,20 @@ def test_layout_table_equals_pattern_counts_and_the_fraction_walk(config):
     planner._check_monotone(table)
 
 
+@settings(max_examples=150)
+@given(two_channel_layouts())
+def test_layout_table_is_invariant_under_photon_order_and_qudit_labels(config):
+    # photons listed in reverse and transmitted qudit i relabelled t - 1 - i: the
+    # same layout, so the same integer table entry for entry
+    t = config.transmitted
+    photons = tuple(
+        Photon(ph.channel_id, tuple((t - 1 - q, n) for q, n in ph.carries))
+        for ph in reversed(config.photons)
+    )
+    twin = replace(config, photons=photons)
+    assert np.array_equal(engine.layout_table(twin), engine.layout_table(config))
+
+
 def test_layout_table_of_the_shared7_layout():
     table = engine.layout_table(shared7_configuration(0.9, 0.95))
     assert np.array_equal(table, walk_table(shared7_configuration, (3, 3)))

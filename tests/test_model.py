@@ -16,6 +16,8 @@ from qnetagg.model import (
     clamp_roundoff,
     config_from_dict,
     config_to_dict,
+    photons_per_qudit,
+    save_config,
     shared7_configuration,
     is_prime,
     uniform_configuration,
@@ -170,6 +172,21 @@ def test_photon_rejects_non_integer_carries(carries):
         Photon("c", carries)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QrsCode(7.0, 4),
+        lambda: QrsCode(7, 4.0),
+        lambda: photons_per_qudit(QrsCode(7, 4), 1.5),
+    ],
+    ids=["float-d", "float-k", "float-q"],
+)
+def test_code_and_q_reject_non_integers(make):
+    # never truncated: 7.0 would pass trial division as a prime, 1.5 would act as q = 2
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_uniform_configuration_checks_q_before_the_split():
     with pytest.raises(ValueError, match="q must be >= 1"):
         uniform_configuration(QrsCode(7, 4), 0, [(CH, 6)])
@@ -230,3 +247,13 @@ def test_config_document_round_trip(tmp_path):
     assert doc["code"] == {"d": 7, "k": 4}
     again = config_from_dict(doc)
     assert again == config
+
+
+def test_failing_save_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "config.json"
+    save_config(shared7_configuration(0.9, 0.95), str(path))
+    before = path.read_bytes()
+    unwritable = shared7_configuration(Fraction(9, 10), 0.95)  # a Fraction is no JSON number
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        save_config(unwritable, str(path))
+    assert path.read_bytes() == before
