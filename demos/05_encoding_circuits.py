@@ -29,13 +29,13 @@ print(f"multiplexed vs six-photon:    {mux.fidelity(six):.12f}")
 print("\ncross-DOF CNOT constructions (operator error vs ideal):")
 for c in ("pol", "tb"):
     for t in ("pol", "tb"):
-        err = np.max(np.abs(qc.table_cnot(c, t).matrix - qc.ideal_cnot16(c, t)))
+        err = np.max(np.abs(qc.table_cnot(c, t).matrix - qc.ideal_cnot16(c, t).matrix))
         print(f"  {c}1 -> {t}2: {err:.2e}")
 
 err = np.max(
     np.abs(
         qc.toffoli_mode_split().matrix
-        - qc.ideal_toffoli(3, controls=[(1, 1), (2, 1)], target=0)
+        - qc.ideal_toffoli(3, controls=[(1, 1), (2, 1)], target=0).matrix
     )
 )
 print(f"\nbranch-split Toffoli vs ideal: {err:.2e}")

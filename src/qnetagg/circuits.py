@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def product_state(factors: Sequence[tuple[int, np.ndarray]]) -> PureState:
 def assert_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     eye = np.eye(m.shape[0])
-    if np.max(np.abs(m.conj().T @ m - eye)) > tol:
+    if not np.max(np.abs(m.conj().T @ m - eye)) <= tol:  # NaN fails too
         raise ValueError("matrix is not unitary within tolerance")
     return m
 
@@ -146,18 +146,6 @@ def _bijection(image: Sequence[int]) -> np.ndarray:
     return img
 
 
-def permutation_matrix(size: int, image: Callable[[int], int]) -> np.ndarray:
-    """The ``size``-square basis permutation sending ``|i>`` to ``|image(i)>``."""
-    img = _bijection([image(i) for i in range(size)])
-    m = np.zeros((size, size), dtype=complex)
-    m[img, np.arange(size)] = 1.0
-    return m
-
-
-def _dense(image: Sequence[int]) -> np.ndarray:
-    return permutation_matrix(len(image), image.__getitem__)
-
-
 @dataclass(frozen=True)
 class Gate:
     """A basis permutation of the target subsystems: ``image[j]`` is where their
@@ -169,11 +157,12 @@ class Gate:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense unitary on the targets, controls left out."""
-        return _dense(self.image)
-
-    def apply(self, state: PureState) -> PureState:
-        return run(state, [self])
+        """The dense unitary on the targets, controls left out: the one place a
+        permutation is built as a matrix."""
+        img = _bijection(self.image)
+        m = np.zeros((img.size, img.size), dtype=complex)
+        m[img, np.arange(img.size)] = 1.0
+        return m
 
 
 @lru_cache(maxsize=256)
@@ -196,8 +185,6 @@ def run(state: PureState, gates: Sequence[Gate]) -> PureState:
 # --- elementary gates ----------------------------------------------------------
 
 _FLIP = (1, 0)
-X = _dense(_FLIP)
-SWAP2 = _dense((0, 2, 1, 3))  # swap two qubits
 
 
 def branch_rotation(theta: float) -> np.ndarray:
@@ -206,21 +193,17 @@ def branch_rotation(theta: float) -> np.ndarray:
     return np.array([[-s, c], [c, s]], dtype=complex)
 
 
-def _shift(sign: int) -> tuple[int, ...]:
-    return tuple(3 * c + (t + sign * c) % 3 for c in range(3) for t in range(3))
-
-
-def qutrit_shift_gate(sign: int) -> np.ndarray:
-    """|c, t> -> |c, t + sign*c mod 3> on two qutrits: +1 adds, -1 subtracts."""
-    return _dense(_shift(sign))
+def qutrit_shift_gate(sign: int, control: int, target: int) -> Gate:
+    """|c, t> -> |c, t + sign*c mod 3> on qutrits (control, target): +1 adds,
+    -1 subtracts."""
+    image = tuple(3 * c + (t + sign * c) % 3 for c in range(3) for t in range(3))
+    return Gate(image, (control, target))
 
 
 # Mode swaps used by the cross-DOF CNOT constructions.  Basis index 2*pol+tb.
 _IDENTITY4 = (0, 1, 2, 3)
 _HS_VL = (3, 1, 2, 0)  # H_S <-> V_L
-_HL_VS = (0, 2, 1, 3)  # H_L <-> V_S
-SWAP_HS_VL = _dense(_HS_VL)
-SWAP_HL_VS = _dense(_HL_VS)
+_HL_VS = (0, 2, 1, 3)  # H_L <-> V_S, also the swap of two qubits
 
 
 # --- logical codewords ---------------------------------------------------------
@@ -257,7 +240,7 @@ def logical_pair_state(alpha: complex, beta: complex, gamma: complex) -> PureSta
 
 
 def _check_amplitudes(*amps: complex) -> None:
-    if abs(sum(abs(a) ** 2 for a in amps) - 1.0) > 1e-9:
+    if not abs(sum(abs(a) ** 2 for a in amps) - 1.0) <= 1e-9:  # NaN fails too
         raise NonNormalizedInput("the squared amplitude moduli must sum to 1")
 
 
@@ -272,7 +255,7 @@ def _qutrit_input(alpha: complex, beta: complex, gamma: complex) -> PureState:
 
 
 def _qutrit_encoder_gates() -> list[Gate]:
-    return [Gate(_shift(-1), (0, 1)), Gate(_shift(1), (2, 1)), Gate(_shift(1), (2, 0))]
+    return [qutrit_shift_gate(-1, 0, 1), qutrit_shift_gate(1, 2, 1), qutrit_shift_gate(1, 2, 0)]
 
 
 def qutrit_encode(alpha: complex, beta: complex, gamma: complex) -> PureState:
@@ -326,13 +309,16 @@ def six_photon_encode(alpha: complex, beta: complex, gamma: complex) -> PureStat
 # --- initial-state preparation circuits ----------------------------------------
 
 
-def _prepare(alpha: complex, beta: complex, theta: float, rotated: int, swap) -> PureState:
-    """CNOT 0 -> 1, rotation of qubit ``rotated`` where the other is 1, ``swap``."""
+def _prepare(
+    alpha: complex, beta: complex, theta: float, rotated: int, swap: tuple[int, ...]
+) -> PureState:
+    """CNOT 0 -> 1, rotation of qubit ``rotated`` where the other is 1, then the
+    two-qubit basis map ``swap``."""
     _check_amplitudes(alpha, beta)
     state = product_state([(2, np.array([alpha, beta])), (2, np.array([1.0, 0.0]))])
-    state = apply_unitary(state, X, [1], controls=[(0, 1)])
+    state = run(state, [Gate(_FLIP, (1,), ((0, 1),))])
     state = apply_unitary(state, branch_rotation(theta), [rotated], controls=[(1 - rotated, 1)])
-    return apply_unitary(state, swap, [0, 1])
+    return run(state, [Gate(swap, (0, 1))])
 
 
 def prepare_two_qubit_qutrit(alpha: complex, beta: complex, theta: float) -> PureState:
@@ -342,7 +328,7 @@ def prepare_two_qubit_qutrit(alpha: complex, beta: complex, theta: float) -> Pur
     the gate sequence rather than direct assignment: entangle with a CNOT,
     rotate the second qubit on the first qubit's |1> branch, then swap.
     """
-    return _prepare(alpha, beta, theta, 1, SWAP2)
+    return _prepare(alpha, beta, theta, 1, _HL_VS)
 
 
 def prepare_multiplexed_qutrit(alpha: complex, beta: complex, theta: float) -> PureState:
@@ -353,20 +339,16 @@ def prepare_multiplexed_qutrit(alpha: complex, beta: complex, theta: float) -> P
     H_L <-> V_S recombines the modes, leaving
     alpha|H_S> + beta cos(theta)|V_S> + beta sin(theta)|V_L>.
     """
-    return _prepare(alpha, beta, theta, 0, SWAP_HL_VS)
+    return _prepare(alpha, beta, theta, 0, _HL_VS)
 
 
 # --- cross-DOF CNOT and branch Toffoli constructions ----------------------------
 
 
-def _toffoli(dim: int, controls: Sequence[tuple[int, int]], target: int) -> np.ndarray:
-    """Index map of the Toffoli on ``dim`` qubits: flip target iff controls match."""
-    return _index_map(Gate(_FLIP, (target,), tuple((c, v) for c, v in controls)), (2,) * dim)
-
-
-def ideal_toffoli(dim: int, controls: Sequence[tuple[int, int]], target: int) -> np.ndarray:
-    """Toffoli truth table on ``dim`` qubits: flip target iff controls match."""
-    return _dense(_toffoli(dim, controls, target))
+def ideal_toffoli(dim: int, controls: Sequence[tuple[int, int]], target: int) -> Gate:
+    """Toffoli truth table over all ``dim`` qubits: flip target iff controls match."""
+    flip = Gate(_FLIP, (target,), tuple((c, v) for c, v in controls))
+    return Gate(tuple(_index_map(flip, (2,) * dim).tolist()), tuple(range(dim)))
 
 
 _DOFS = ("pol", "tb")  # a photon's qubits in order
@@ -379,18 +361,18 @@ def _position(dof: str, role: str) -> int:
     return _DOFS.index(dof)
 
 
-def ideal_cnot16(control_dof: str, target_dof: str) -> np.ndarray:
+def ideal_cnot16(control_dof: str, target_dof: str) -> Gate:
     """Plain CNOT from a DOF of photon 1 onto one of photon 2 on qubits
     (pol1, tb1, pol2, tb2), identity elsewhere (the oracle)."""
     control, target = _position(control_dof, "control"), _position(target_dof, "target")
-    return _dense(_toffoli(4, [(control, 1)], 2 + target))
+    return ideal_toffoli(4, [(control, 1)], 2 + target)
 
 
-def _relabeled(core: np.ndarray, ra: Sequence[int], rb: Sequence[int]) -> tuple[int, ...]:
-    """``core`` on photons (A, B) between mode relabelings: relabel A by ``ra``
-    and B by ``rb``, apply ``core``, undo the relabeling."""
+def _relabeled(core: Gate, ra: Sequence[int], rb: Sequence[int]) -> Gate:
+    """``core``, over photons (A, B), between mode relabelings: relabel A by
+    ``ra`` and B by ``rb``, apply ``core``, undo the relabeling."""
     conj = (4 * np.asarray(ra)[:, None] + np.asarray(rb)).ravel()
-    return tuple(np.argsort(conj)[core[conj]].tolist())
+    return Gate(tuple(np.argsort(conj)[np.asarray(core.image)[conj]].tolist()), core.targets)
 
 
 def table_cnot(control_dof: str, target_dof: str) -> Gate:
@@ -401,7 +383,7 @@ def table_cnot(control_dof: str, target_dof: str) -> Gate:
     applied before and after, move time-bin involvement onto polarization."""
     ra = _HL_VS if _position(control_dof, "control") else _IDENTITY4
     rb = _HS_VL if _position(target_dof, "target") else _IDENTITY4
-    return Gate(_relabeled(_toffoli(4, [(0, 1)], 2), ra, rb), (0, 1, 2, 3))
+    return _relabeled(ideal_toffoli(4, [(0, 1)], 2), ra, rb)
 
 
 def toffoli_mode_split() -> Gate:
@@ -410,7 +392,7 @@ def toffoli_mode_split() -> Gate:
     An optical switch routes photon 2 by time bin; the polarization CNOT from
     pol_2 onto pol_1 acts only on the late branch (tb2 = L); the switch
     recombines.  The result equals the Toffoli (pol2=1, tb2=1) -> pol1."""
-    late = Gate(tuple(_toffoli(2, [(1, 1)], 0).tolist()), (0, 1), ((2, 1),))  # pol2 onto pol1
+    late = Gate(ideal_toffoli(2, [(1, 1)], 0).image, (0, 1), ((2, 1),))  # pol2 onto pol1
     return Gate(tuple(_index_map(late, (2, 2, 2)).tolist()), (0, 1, 2))
 
 
@@ -425,28 +407,20 @@ _PAIR_RELABEL = {
 
 
 @lru_cache(maxsize=None)
-def _shared_photon_map(control_a_dof: str, control_b: tuple, target_b_dof: str) -> tuple:
+def shared_photon_toffoli(control_a_dof: str, control_b: tuple, target_b_dof: str) -> Gate:
+    """Toffoli on (pol_A, tb_A, pol_B, tb_B) built from one branch-split CNOT.
+
+    Control 1 is a DOF of photon A (active on value 1); control 2 and the
+    target are the two DOFs of photon B.  Free mode relabelings on each
+    photon move the configuration onto the canonical split (photon B routed
+    by time bin, CNOT pol_A -> pol_B on the late branch).  The report's
+    ``shared-photon-toffoli`` check holds all eight exact."""
     ra = _HL_VS if _position(control_a_dof, "photon-A control") else _IDENTITY4
     rb = _PAIR_RELABEL.get((*control_b, target_b_dof))
     if rb is None:
         rule = "the control is one DOF of photon B at value 0 or 1, the target its other"
         raise ValueError(f"photon-B control {control_b!r} and target {target_b_dof!r}: {rule}")
-    # canonical split CNOT on (pol_A, tb_A, pol_B, tb_B): CNOT(pol_A -> pol_B)
-    # applied on the tb_B = L branch only.
-    return _relabeled(_toffoli(4, controls=[(0, 1), (3, 1)], target=2), ra, rb)
-
-
-def shared_photon_toffoli(control_a_dof: str, control_b: tuple, target_b_dof: str) -> np.ndarray:
-    """16x16 Toffoli between photons built from one branch-split CNOT.
-
-    Control 1 is a DOF of photon A (active on value 1); control 2 and the
-    target are the two DOFs of photon B.  Free mode relabelings on each
-    photon move the configuration onto the canonical split (photon B routed
-    by time bin, CNOT pol_A -> pol_B on the late branch).  Returned read-only;
-    the report's ``shared-photon-toffoli`` check holds all eight exact."""
-    m = _dense(_shared_photon_map(control_a_dof, control_b, target_b_dof))
-    m.setflags(write=False)
-    return m
+    return _relabeled(ideal_toffoli(4, controls=[(0, 1), (3, 1)], target=2), ra, rb)
 
 
 def _multiplexed_gates() -> list[Gate]:
@@ -455,9 +429,9 @@ def _multiplexed_gates() -> list[Gate]:
     for gate in _pair_encoder_gates():
         (a, _), (b, b_value) = gate.controls
         target = _DOFS[gate.targets[0] % 2]
-        image = _shared_photon_map(_DOFS[a % 2], (_DOFS[b % 2], b_value), target)
+        shared = shared_photon_toffoli(_DOFS[a % 2], (_DOFS[b % 2], b_value), target)
         a0, b0 = a - a % 2, b - b % 2
-        gates.append(Gate(image, (a0, a0 + 1, b0, b0 + 1)))
+        gates.append(Gate(shared.image, (a0, a0 + 1, b0, b0 + 1)))
     return gates
 
 
@@ -524,14 +498,12 @@ def _operator_checks() -> list[dict]:
     cnot = True
     for c, t in np.ndindex(2, 2):
         image = np.asarray(table_cnot(_DOFS[c], _DOFS[t]).image)
-        cnot &= np.array_equal(image, _toffoli(4, [(c, 1)], 2 + t))
+        cnot &= np.array_equal(image, ideal_toffoli(4, [(c, 1)], 2 + t).image)
         cnot &= np.array_equal(image[image], np.arange(16))  # an involution
-    split = np.array_equal(toffoli_mode_split().image, _toffoli(3, [(1, 1), (2, 1)], 0))
+    split = toffoli_mode_split().image == ideal_toffoli(3, [(1, 1), (2, 1)], 0).image
     shared = all(
-        np.array_equal(
-            _shared_photon_map(_DOFS[a], (_DOFS[b], v), _DOFS[1 - b]),
-            _toffoli(4, [(a, 1), (2 + b, v)], 3 - b),
-        )
+        shared_photon_toffoli(_DOFS[a], (_DOFS[b], v), _DOFS[1 - b]).image
+        == ideal_toffoli(4, [(a, 1), (2 + b, v)], 3 - b).image
         for a, b, v in np.ndindex(2, 2, 2)
     )
     verdicts = {"cross-dof-cnot": cnot, "branch-toffoli": split, "shared-photon-toffoli": shared}

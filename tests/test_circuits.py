@@ -103,15 +103,49 @@ def test_prepare_qutrit_rejects_non_normalized(prepare, cos_index):
         prepare(0.9, 0.9, 0.1)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qc.qutrit_encode(NAN, 0, 0),
+        lambda: qc.six_photon_encode(0, NAN, 0),
+        lambda: qc.multiplexed_encode(0, 0, NAN),
+        lambda: qc.prepare_two_qubit_qutrit(NAN, 0.8, 0.1),
+        lambda: qc.prepare_multiplexed_qutrit(0.6, NAN, 0.1),
+    ],
+    ids=["qutrit", "six-photon", "multiplexed", "prepare-two-qubit", "prepare-multiplexed"],
+)
+def test_nan_amplitude_is_not_normalized(call):
+    # a NaN modulus sum compares false against the tolerance, and must still fail
+    with pytest.raises(qc.NonNormalizedInput):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qc.prepare_two_qubit_qutrit(0.6, 0.8, NAN),
+        lambda: qc.prepare_multiplexed_qutrit(0.6, 0.8, NAN),
+        lambda: qc.apply_unitary(qc.basis_state((2,), (0,)), np.full((2, 2), NAN), [0]),
+    ],
+    ids=["prepare-two-qubit-theta", "prepare-multiplexed-theta", "apply-unitary"],
+)
+def test_nan_matrix_is_not_unitary(call):
+    with pytest.raises(ValueError, match="not unitary"):
+        call()
+
+
 @pytest.mark.parametrize("c", range(3))
 @pytest.mark.parametrize("t", range(3))
 def test_qutrit_shift_gate_adds_control(c, t):
-    out = qc.apply_unitary(qc.basis_state((3, 3), (c, t)), qc.qutrit_shift_gate(1), [0, 1])
+    out = qc.run(qc.basis_state((3, 3), (c, t)), [qc.qutrit_shift_gate(1, 0, 1)])
     assert out.fidelity(qc.basis_state((3, 3), (c, (t + c) % 3))) == pytest.approx(1, abs=1e-12)
 
 
 def test_qutrit_shift_gate_minus_is_inverse():
-    product = qc.qutrit_shift_gate(-1) @ qc.qutrit_shift_gate(1)
+    product = qc.qutrit_shift_gate(-1, 0, 1).matrix @ qc.qutrit_shift_gate(1, 0, 1).matrix
     assert np.array_equal(product, np.eye(9))
 
 
@@ -179,7 +213,7 @@ def test_multiplexed_equals_six_photon_under_relabeling():
 @pytest.mark.parametrize("target", ["pol", "tb"])
 def test_cross_dof_cnot_equals_ideal(control, target):
     got = qc.table_cnot(control, target).matrix
-    want = qc.ideal_cnot16(control, target)
+    want = qc.ideal_cnot16(control, target).matrix
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -188,7 +222,7 @@ def test_cross_dof_cnot_equals_ideal(control, target):
 def test_ideal_cnot16_follows_bit_rule(control, target):
     # basis index 8 pol1 + 4 tb1 + 2 pol2 + tb2; the photon-1 control bit
     # flips the photon-2 target bit
-    m = qc.ideal_cnot16(control, target)
+    m = qc.ideal_cnot16(control, target).matrix
     for idx in range(16):
         values = (idx >> 3 & 1, idx >> 2 & 1, idx >> 1 & 1, idx & 1)
         bits = dict(zip(("pol1", "tb1", "pol2", "tb2"), values))
@@ -209,18 +243,18 @@ def test_cross_dof_cnot_involutive():
 
 def test_mode_split_toffoli_equals_ideal():
     got = qc.toffoli_mode_split().matrix
-    want = qc.ideal_toffoli(3, controls=[(1, 1), (2, 1)], target=0)
+    want = qc.ideal_toffoli(3, controls=[(1, 1), (2, 1)], target=0).matrix
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_mode_split_toffoli_action():
     # both controls active: pol1 flips
     state = qc.basis_state((2, 2, 2), (0, 1, 1))
-    out = qc.toffoli_mode_split().apply(state)
+    out = qc.run(state, [qc.toffoli_mode_split()])
     assert out.fidelity(qc.basis_state((2, 2, 2), (1, 1, 1))) >= 1 - 1e-12
     # early time bin: branch not taken
     state = qc.basis_state((2, 2, 2), (0, 1, 0))
-    out = qc.toffoli_mode_split().apply(state)
+    out = qc.run(state, [qc.toffoli_mode_split()])
     assert out.fidelity(state) >= 1 - 1e-12
 
 
@@ -228,8 +262,7 @@ def test_shared_photon_toffoli_all_cases():
     for a_dof in ("pol", "tb"):
         for b_dof, t_dof in (("pol", "tb"), ("tb", "pol")):
             for v in (0, 1):
-                m = qc.shared_photon_toffoli(a_dof, (b_dof, v), t_dof)
-                qc.assert_unitary(m)
+                qc.assert_unitary(qc.shared_photon_toffoli(a_dof, (b_dof, v), t_dof).matrix)
 
 
 def test_gates_preserve_norm():
@@ -237,7 +270,7 @@ def test_gates_preserve_norm():
         [(2, np.array([0.6, 0.8])), (2, np.array([1, 0])), (2, np.array([0, 1]))]
     )
     for gate in (qc.toffoli_mode_split(),):
-        out = gate.apply(state)
+        out = qc.run(state, [gate])
         assert abs(out.norm() - 1) <= 1e-10
 
 
@@ -347,18 +380,18 @@ def kron_shared_photon_toffoli(a, control_b, t):
 def permutation_cases():
     # (name, module index map, its public dense form or None, dense oracle)
     cases = [
-        ("X", qc._FLIP, qc.X, dense(2, lambda i: 1 - i)),
+        ("X", qc._FLIP, None, dense(2, lambda i: 1 - i)),
         # swapping two qubits exchanges |01> and |10>, the H_L <-> V_S map
-        ("SWAP2", qc._HL_VS, qc.SWAP2, dense(4, lambda i: (i & 1) << 1 | i >> 1)),
-        ("SWAP_HS_VL", qc._HS_VL, qc.SWAP_HS_VL, HS_VL),
-        ("SWAP_HL_VS", qc._HL_VS, qc.SWAP_HL_VS, HL_VS),
+        ("SWAP2", qc._HL_VS, None, dense(4, lambda i: (i & 1) << 1 | i >> 1)),
+        ("SWAP_HS_VL", qc._HS_VL, None, HS_VL),
+        ("SWAP_HL_VS", qc._HL_VS, None, HL_VS),
         ("toffoli_mode_split", qc.toffoli_mode_split().image, qc.toffoli_mode_split().matrix,
          kron_mode_split()),
     ]
     for sign in (1, -1):
         shift = dense(9, lambda i: 3 * (i // 3) + (i % 3 + sign * (i // 3)) % 3)
-        cases.append((f"qutrit_shift_gate({sign})", qc._shift(sign),
-                      qc.qutrit_shift_gate(sign), shift))
+        gate = qc.qutrit_shift_gate(sign, 0, 1)
+        cases.append((f"qutrit_shift_gate({sign})", gate.image, gate.matrix, shift))
     for key, want in RELABEL.items():
         cases.append((f"_PAIR_RELABEL{key}", qc._PAIR_RELABEL[key], None, want))
     for c in ("pol", "tb"):
@@ -366,8 +399,9 @@ def permutation_cases():
             gate = qc.table_cnot(c, t)
             cases.append((f"table_cnot({c}, {t})", gate.image, gate.matrix, kron_table_cnot(c, t)))
     for args in SHARED_CASES:
-        cases.append((f"shared_photon_toffoli{args}", qc._shared_photon_map(*args),
-                      qc.shared_photon_toffoli(*args), kron_shared_photon_toffoli(*args)))
+        gate = qc.shared_photon_toffoli(*args)
+        cases.append((f"shared_photon_toffoli{args}", gate.image, gate.matrix,
+                      kron_shared_photon_toffoli(*args)))
     return cases
 
 
@@ -375,7 +409,7 @@ def permutation_cases():
     "name,image,public,want", permutation_cases(), ids=[c[0] for c in permutation_cases()]
 )
 def test_index_map_equals_dense_permutation(name, image, public, want):
-    assert np.array_equal(qc.permutation_matrix(len(image), image.__getitem__), want)
+    assert np.array_equal(qc.Gate(image, ()).matrix, want)
     if public is not None:
         assert np.array_equal(public, want)
 
@@ -402,7 +436,7 @@ def test_index_maps_are_read_only_bijections():
     with pytest.raises(ValueError):
         image[0] = 1
     with pytest.raises(ValueError, match="not a bijection"):
-        qc.permutation_matrix(2, lambda i: 0)
+        qc.Gate((0, 0), (0,)).matrix
 
 
 @pytest.mark.parametrize(
@@ -433,9 +467,9 @@ def test_circuit_builders_name_bad_argument(call, named):
 
 @pytest.fixture
 def fresh_maps():
-    qc._shared_photon_map.cache_clear()
+    qc.shared_photon_toffoli.cache_clear()
     yield
-    qc._shared_photon_map.cache_clear()
+    qc.shared_photon_toffoli.cache_clear()
 
 
 def failing_checks(report):
@@ -466,5 +500,5 @@ def test_swapped_pair_encoder_gates_fail(monkeypatch, capsys, fresh_maps):
 
 def test_changed_pair_relabel_fails(monkeypatch, capsys, fresh_maps):
     monkeypatch.setitem(qc._PAIR_RELABEL, ("tb", 0, "pol"), (0, 1, 2, 3))
-    qc._shared_photon_map.cache_clear()
+    qc.shared_photon_toffoli.cache_clear()
     assert_mutant_fails({"shared-photon-toffoli", "multiplexed-encoder"}, capsys)

@@ -607,8 +607,16 @@ def test_readme_documents_read(tmp_path):
         path.write_text(block)
     config = load_config(str(paths[0]))
     assert config == MultiplexConfiguration(
-        QrsCode(7, 4), (Channel("ch1", 0.96),), (Photon("ch1", ((0, 3),)),), withheld=0
+        QrsCode(7, 4),
+        (Channel("ch1", 0.96), Channel("ch2", 0.9)),
+        tuple(Photon("ch1" if qudit < 4 else "ch2", ((qudit, 3),)) for qudit in range(7)),
+        withheld=0,
     )
+    # a valid layout, whose success line README quotes
+    result = run_cli(["success", str(paths[0])])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "success_probability 0.9995415552\n"
+    assert f"`{result.stdout.strip()}`" in readme
     problem = planner.problem_from_dict(read_document(str(paths[1])))
     assert [(ch.id, ch.capacity) for ch in problem.channels] == [
         ("blue", 2), ("red", 2), ("black", 7)

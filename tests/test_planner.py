@@ -223,6 +223,19 @@ def test_allocate_tie_break_lexicographic():
     assert result.split == (0, 3)
 
 
+def test_allocate_accepts_target_met_exactly():
+    # the split (4, 3) loses at most the code's 3 tolerated qudits, all on the
+    # bad channel, so it reaches the target 1.0 exactly and must be taken
+    problem = AllocationProblem(
+        channels=(ChannelSpec("good", 1.0, 7), ChannelSpec("bad", 0.5, 7)),
+        codes=(QrsCode(7, 4),),
+        q=1,
+    )
+    result = allocate(problem, target=1.0)
+    assert result.split == (4, 3)
+    assert result.achieved == 1.0
+
+
 def test_appendix_diagonal_crossings():
     code = QrsCode(211, 106)
     p_star = solve_p1(planner.single_channel_scenario(code, 8), 0.5)
