@@ -5,8 +5,11 @@ independent Bernoulli draws, a trial succeeds when erased plus withheld
 qudits stay within tolerance.  Sampling is split into fixed-size chunks,
 each driven by its own counter-based Philox stream derived from
 ``(seed, chunk index)`` (Salmon et al., SC'11), so the estimate is
-reproducible bit for bit and a parallel runner merging per-chunk success
-counts in any order would obtain the identical result.
+reproducible bit for bit.  :func:`estimate` shares the chunks among
+W = min(CPUs the process may use, chunks) threads: the calling thread takes
+chunks 0, W, 2W, ... and W - 1 pool threads take the others.  The integer
+success counts add up to the same total in any order, so the estimate is
+the same for every W.
 
 Trials draw one word per *unit*, not per photon.  A qudit's private group
 (all its photons that carry no other qudit) is one unit: those photons
@@ -23,10 +26,20 @@ probability ``P`` arrives when its word is below ``round(P * 2**32)``, so
 it arrives with probability ``round(P * 2**32) / 2**32``: at most 2^-33
 (about 1.2e-10) from ``P`` per unit, exact at P = 0 and P = 1.  A qudit
 survives when every one of its units arrives.
+
+A chunk draws its rows in blocks of ceil(n_units / W) rows, rounded up to
+an even count so that a block is whole 64-bit words; consecutive draws from
+one stream return the words of a single draw.  Each row becomes arrival
+flags as soon as it is drawn and a qudit is judged when its last unit is
+drawn, so only the flags of units whose qudits have more than one unit are
+kept, one byte a trial.  A thread frees each block before it draws the next,
+so the W threads together hold at most W blocks, n_units + 2W rows: about
+one chunk's words when units outnumber threads.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import reduce
 from math import sqrt
@@ -66,6 +79,14 @@ def _check_int(name: str, value) -> int:
     return int(value)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McEstimate:
     """Estimate success probability from ``samples`` independent trials;
     ``TypeError`` for a ``samples`` or ``seed`` that is a bool or not an
@@ -98,22 +119,50 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
     budget = config.code.tolerance() - config.withheld
     n_units = len(units)
 
-    successes = 0
+    # A qudit is judged when its last unit is drawn, so only the flags of its
+    # earlier units are kept until then.
+    judged: list[list[list[int]]] = [[] for _ in units]
+    for unit_ids in per_qudit:
+        judged[unit_ids[-1]].append(unit_ids[:-1])
+    keep = {u for unit_ids in per_qudit for u in unit_ids[:-1]}
+    lost_type = np.min_scalar_type(config.transmitted)
     root = np.random.Philox(key=seed)
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        size = min(CHUNK, samples - done)
-        words = root.jumped(chunk_index).random_raw(-(-n_units * size // 2))
-        rows = words.astype("<u8", copy=False).view("<u4")[: n_units * size]
-        rows = rows.reshape(n_units, size)
-        arrived = [row < t for row, t in zip(rows, thresholds)]
-        lost = np.zeros(size, dtype=np.min_scalar_type(config.transmitted))
-        for unit_ids in per_qudit:  # a qudit is kept when all its units arrive
-            lost += ~reduce(np.logical_and, [arrived[u] for u in unit_ids])
-        successes += int(np.count_nonzero(lost <= budget))
-        done += size
-        chunk_index += 1
+    chunks = -(-samples // CHUNK)
+    workers = min(_cpu_count(), chunks)
+    block = -(-n_units // workers)
+    block += block % 2  # whole 64-bit words, even when a row has odd length
+
+    # Runs in pool threads too, so it calls numpy alone: no qnetagg function,
+    # which perfbench/tracing.py may wrap with its single span stack.
+    def chunk_successes(index: int) -> int:
+        size = min(CHUNK, samples - index * CHUNK)
+        stream = root.jumped(index)
+        lost = np.zeros(size, dtype=lost_type)
+        flags: dict[int, np.ndarray] = {}
+        for start in range(0, n_units, block):
+            count = min(block, n_units - start)
+            words = stream.random_raw(-(-count * size // 2)).astype("<u8", copy=False).view("<u4")
+            for u in range(start, start + count):
+                offset = (u - start) * size
+                arrived = words[offset : offset + size] < thresholds[u]
+                if u in keep:
+                    flags[u] = arrived
+                for others in judged[u]:  # a qudit is kept when all its units arrive
+                    lost += ~reduce(np.logical_and, [flags[v] for v in others], arrived)
+            del words  # this block is freed before the next one is drawn
+        return int(np.count_nonzero(lost <= budget))
+
+    def share(first: int) -> int:
+        return sum(chunk_successes(i) for i in range(first, chunks, workers))
+
+    if workers == 1:
+        successes = share(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(share, w) for w in range(1, workers)]
+            successes = share(0) + sum(f.result() for f in futures)
 
     mean = successes / samples
     return McEstimate(

@@ -1,5 +1,12 @@
 import math
+import os
+import random
+import subprocess
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +17,8 @@ from qnetagg.model import (
     ArrayProbability, Channel, MultiplexConfiguration, Photon, QrsCode, photons_per_qudit,
     shared7_configuration, uniform_configuration,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_lossless_channel_is_certain():
@@ -232,3 +241,94 @@ def test_fraction_private_group_draws_same_samples_as_its_float():
     assert montecarlo.estimate(exact, 100_000, seed=2) == montecarlo.estimate(
         floats, 100_000, seed=2
     )
+
+
+def _shared_layout(seed: int, photons: int = 24) -> MultiplexConfiguration:
+    """A seeded d=11, k=6 layout of ``photons`` photons on channels "a" and
+    "b", built by merging the 40 one-qubit photons of the 10 sent qudits."""
+    rng = random.Random(seed)
+    carried = [{q: 1} for q in range(10) for _ in range(4)]
+    while len(carried) > photons:
+        i, j = sorted(rng.sample(range(len(carried)), 2))
+        for q, c in carried.pop(j).items():
+            carried[i][q] = carried[i].get(q, 0) + c
+    built = tuple(Photon(rng.choice("ab"), tuple(sorted(c.items()))) for c in carried)
+    return MultiplexConfiguration(
+        QrsCode(11, 6), (Channel("a", 0.93), Channel("b", 0.81)), built, withheld=1
+    )
+
+
+# (layout, samples, seed, successes): any change to the draws, or to how the
+# chunks are shared among threads, shows up in these counts.
+CHUNKED_CASES = {
+    # 43 one-unit qudits; the last chunk has odd length, so its rows straddle words
+    "d43-odd-tail": (
+        lambda: uniform_configuration(
+            QrsCode(43, 22), 4, [(Channel("a", 0.99), 23), (Channel("b", 0.39), 20)]
+        ),
+        2 * montecarlo.CHUNK + 12345, 5, 142773,
+    ),
+    # qudit 0's private row is held until its shared photon is drawn
+    "mixed-units": (lambda: _mixed_unit_layout(0.8, 0.7), 3 * montecarlo.CHUNK + 1, 6, 131344),
+    "shared-24": (lambda: _shared_layout(24), 5 * montecarlo.CHUNK, 7, 222545),
+}
+
+
+@pytest.mark.parametrize("case", CHUNKED_CASES)
+def test_pinned_success_counts_across_chunks(case):
+    build, samples, seed, successes = CHUNKED_CASES[case]
+    est = montecarlo.estimate(build(), samples, seed=seed)
+    assert round(est.mean * est.samples) == successes
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("case", CHUNKED_CASES)
+def test_estimate_is_the_same_on_any_cpu_count(case, cpus, monkeypatch):
+    # chunks are shared among the CPUs and their counts added in any order
+    build, samples, seed, _ = CHUNKED_CASES[case]
+    config = build()
+    default = montecarlo.estimate(config, samples, seed=seed)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    assert montecarlo.estimate(config, samples, seed=seed) == default
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+    config = shared7_configuration(0.9, 0.95)
+    montecarlo.estimate(config, montecarlo.CHUNK, seed=1)
+    assert started == []
+    # two chunks: one in the calling thread, one in a pool thread
+    montecarlo.estimate(config, montecarlo.CHUNK + 1, seed=1)
+    assert len(started) == 1
+
+
+def test_blocks_bound_the_memory_of_an_estimate(monkeypatch):
+    # On 2 CPUs each thread draws a chunk's 43 rows in blocks of at most 22
+    # and frees one block before it draws the next, so the peak stays below
+    # one chunk's words and flags: 43 rows of 4 + 1 bytes a trial.
+    config = CHUNKED_CASES["d43-odd-tail"][0]()
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    montecarlo.estimate(config, 2 * montecarlo.CHUNK, seed=1)  # imports the pool first
+    tracemalloc.start()
+    try:
+        montecarlo.estimate(config, 8 * montecarlo.CHUNK, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 43 * montecarlo.CHUNK * 5
+
+
+def test_importing_qnetagg_imports_no_thread_pool():
+    # concurrent.futures costs ~3 ms to import, which every CLI run would pay
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, qnetagg.cli; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
