@@ -57,8 +57,8 @@ from math import comb, log
 import numpy as np
 
 from .model import (
-    MultiplexConfiguration, QrsCode, check_code, check_probability, check_scalar_channels,
-    clamp_roundoff, validate,
+    MultiplexConfiguration, QrsCode, check_code, check_int, check_probability,
+    check_scalar_channels, clamp_roundoff, validate,
 )
 
 CLUSTER_STATE_BITS = 16
@@ -433,7 +433,8 @@ def block_success(code: QrsCode, blocks):
     Survivals may be floats or numpy arrays of one shape (they broadcast);
     the result is then a float or an array of that shape.  Fraction
     survivals give an exact Fraction.  Raises ``ValueError`` for a survival
-    outside [0, 1], an invalid code, a negative count or counts above d.
+    outside [0, 1], an invalid code, a negative count or counts above d,
+    ``TypeError`` for a count that is a bool or not an integer.
     """
     # a stable sort puts empty blocks first, so the last block with qudits varies
     *fixed, (count, survival) = sorted(blocks, key=lambda block: block[0] > 0) or [(0, 1.0)]
@@ -446,13 +447,14 @@ def block_evaluator(code: QrsCode, fixed, count: int):
     ``count`` qudits, its survival unchecked.  The code and the ``fixed``
     blocks are checked and convolved once, and the CDF entries the tail
     sum_i pmf[i] * CDF[budget - i] reads are gathered once.  ``ValueError``
-    names a block whose count is negative or brings the total above d."""
+    names a block whose count is negative or brings the total above d,
+    ``TypeError`` one whose count is a bool or not an integer."""
     check_code(code)
     for _, survival in fixed:
         check_probability("survival", survival)
     total = 0
     for n in [n for n, _ in fixed] + [count]:
-        total += n
+        total += check_int("block count", n)
         if n < 0 or total > code.d:
             raise ValueError(f"block of {n} qudits: counts must be >= 0 and total <= d={code.d}")
     budget = code.tolerance()

@@ -6,9 +6,9 @@ at most ``d - k`` qudits are erased.  Each qudit is physically carried by
 qudit it carries a qubit of.  A configuration records which photon carries
 which qubits and which channel each photon travels through.
 
-The input and result rules of every module live here: :func:`check_code`,
-:func:`check_probability` and :func:`check_scalar_channels` for inputs,
-:func:`clamp_roundoff` for results.
+The input and result rules of every module live here: :func:`check_int`,
+:func:`check_code`, :func:`check_probability` and
+:func:`check_scalar_channels` for inputs, :func:`clamp_roundoff` for results.
 
 All types are immutable; instances can be shared freely between threads.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from operator import index
 from typing import Sequence
 
@@ -75,6 +76,15 @@ def _first_outside(value, lo: float, hi: float) -> tuple:
     return () if lo <= value <= hi else (value,)
 
 
+def check_int(name: str, value) -> int:
+    """``value`` as an int; ``TypeError`` naming ``name`` for a bool or a non-integer
+    (numpy integers convert).  Never truncated: 7.0 would pass trial division as a
+    prime and ``True`` would index a numpy array as a mask."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def check_probability(name: str, value) -> None:
     """Raise ``ValueError`` naming ``value``, or its first bad entry, unless a
     number, a Fraction or every entry of a numpy array lies in [0, 1]."""
@@ -122,7 +132,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class QrsCode:
-    """Erasure-code parameters ``(d, k)``, integers (a float raises ``TypeError``).
+    """Erasure-code parameters ``(d, k)``, integers (a bool or a float raises ``TypeError``).
 
     ``d`` physical qudits of dimension ``d`` encode ``2k - d`` logical
     qudits and tolerate up to ``d - k`` erasures.  Parameter sanity beyond
@@ -135,8 +145,8 @@ class QrsCode:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", index(self.d))
-        object.__setattr__(self, "k", index(self.k))
+        object.__setattr__(self, "d", check_int("d", self.d))
+        object.__setattr__(self, "k", check_int("k", self.k))
         if self.d < 1 or self.k < 1:
             raise ValueError("code parameters must be positive")
 
@@ -219,7 +229,8 @@ class MultiplexConfiguration:
 
     ``withheld`` qudits (the top indices, by convention) are encoded but not
     sent; they consume erasure tolerance up front.  Transmitted qudit indices
-    are ``0 .. d - withheld - 1``.
+    are ``0 .. d - withheld - 1``.  A bool or non-integer ``withheld`` raises
+    ``TypeError``.
     """
 
     code: QrsCode
@@ -230,6 +241,7 @@ class MultiplexConfiguration:
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "photons", tuple(self.photons))
+        object.__setattr__(self, "withheld", check_int("withheld", self.withheld))
 
     @property
     def transmitted(self) -> int:
@@ -325,8 +337,8 @@ def validate(config: MultiplexConfiguration) -> MultiplexConfiguration:
 
 def photons_per_qudit(code: QrsCode, q: int) -> int:
     """Photons needed per qudit when every photon carries up to ``q`` qubits (an
-    integer: a float raises ``TypeError``)."""
-    if index(q) < 1:
+    integer: a bool or a float raises ``TypeError``)."""
+    if check_int("q", q) < 1:
         raise ValueError("q must be >= 1")
     return -(-code.qubits_per_qudit() // q)
 

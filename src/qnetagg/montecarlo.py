@@ -30,24 +30,23 @@ survives when every one of its units arrives.
 A chunk draws its rows in blocks of ceil(n_units / W) rows, rounded up to
 an even count so that a block is whole 64-bit words; consecutive draws from
 one stream return the words of a single draw.  Each row becomes arrival
-flags as soon as it is drawn and a qudit is judged when its last unit is
-drawn, so only the flags of units whose qudits have more than one unit are
-kept, one byte a trial.  A thread frees each block before it draws the next,
-so the W threads together hold at most W blocks, n_units + 2W rows: about
-one chunk's words when units outnumber threads.
+flags as soon as it is drawn.  A qudit is open from its first unit to its
+last: it keeps one running row, the AND of its units' flags so far, and is
+judged when its last unit is drawn, so a chunk holds one byte a trial per
+open qudit beside its block.  A thread frees each block before it draws the
+next, so the W threads together hold at most W blocks, n_units + 2W rows:
+about one chunk's words when units outnumber threads.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
 from math import sqrt
-from numbers import Integral
 
 import numpy as np
 
-from .model import MultiplexConfiguration, check_scalar_channels, validate
+from .model import MultiplexConfiguration, check_int, check_scalar_channels, validate
 
 CHUNK = 1 << 16
 
@@ -72,13 +71,6 @@ class McEstimate:
         return abs(exact - centre) <= half + 1e-15
 
 
-def _check_int(name: str, value) -> int:
-    """``value`` as an int; ``TypeError`` naming ``name`` for a bool or a non-integer."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
     try:
@@ -93,7 +85,7 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
     integer, ``ValueError`` for ``samples`` < 1 or a ``seed`` outside
     0..2^128 - 1, :class:`~qnetagg.model.ArrayProbability` for an array
     channel probability."""
-    samples, seed = _check_int("samples", samples), _check_int("seed", seed)
+    samples, seed = check_int("samples", samples), check_int("seed", seed)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0 <= seed < 1 << 128:
@@ -112,19 +104,9 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
             shared.append((float(p), ph.qudits))
     units = [(private[q], (q,)) for q in sorted(private)] + shared
     thresholds = [round(p * 2**32) for p, _ in units]
-    per_qudit: list[list[int]] = [[] for _ in range(config.transmitted)]
-    for u, (_, qudits) in enumerate(units):
-        for q in qudits:
-            per_qudit[q].append(u)
+    last = {q: u for u, (_, qudits) in enumerate(units) for q in qudits}  # each qudit's last unit
     budget = config.code.tolerance() - config.withheld
     n_units = len(units)
-
-    # A qudit is judged when its last unit is drawn, so only the flags of its
-    # earlier units are kept until then.
-    judged: list[list[list[int]]] = [[] for _ in units]
-    for unit_ids in per_qudit:
-        judged[unit_ids[-1]].append(unit_ids[:-1])
-    keep = {u for unit_ids in per_qudit for u in unit_ids[:-1]}
     lost_type = np.min_scalar_type(config.transmitted)
     root = np.random.Philox(key=seed)
     chunks = -(-samples // CHUNK)
@@ -138,17 +120,20 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
         size = min(CHUNK, samples - index * CHUNK)
         stream = root.jumped(index)
         lost = np.zeros(size, dtype=lost_type)
-        flags: dict[int, np.ndarray] = {}
+        alive: dict[int, np.ndarray] = {}  # each open qudit: did all its units so far arrive?
         for start in range(0, n_units, block):
             count = min(block, n_units - start)
             words = stream.random_raw(-(-count * size // 2)).astype("<u8", copy=False).view("<u4")
             for u in range(start, start + count):
                 offset = (u - start) * size
                 arrived = words[offset : offset + size] < thresholds[u]
-                if u in keep:
-                    flags[u] = arrived
-                for others in judged[u]:  # a qudit is kept when all its units arrive
-                    lost += ~reduce(np.logical_and, [flags[v] for v in others], arrived)
+                for q in units[u][1]:
+                    row = alive.pop(q, None)
+                    row = arrived if row is None else row & arrived
+                    if last[q] == u:
+                        lost += ~row
+                    else:
+                        alive[q] = row
             del words  # this block is freed before the next one is drawn
         return int(np.count_nonzero(lost <= budget))
 

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_configuration, two_channel_layouts
 from oracles import chain_loss_pmf, enumerate_success, pattern_counts, pgf_loss_pmf, pgf_success
@@ -839,6 +840,37 @@ def test_layout_table_is_invariant_under_photon_order_and_qudit_labels(config):
     )
     twin = replace(config, photons=photons)
     assert np.array_equal(engine.layout_table(twin), engine.layout_table(config))
+
+
+@settings(max_examples=150)
+@given(
+    two_channel_layouts(),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12),
+)
+def test_private_photons_act_as_one_photon_at_the_product_of_their_p(config, p1, p2):
+    # the identity Monte Carlo's units rest on: a qudit's private photons erase
+    # only that qudit, so together they arrive as one photon at the product of their p
+    config = with_probabilities(config, p1, p2)
+    by_id = {ch.id: ch.p for ch in config.channels}
+    product: dict[int, Fraction] = {}
+    qubits: dict[int, int] = {}
+    shared = []
+    for ph in config.photons:
+        if len(ph.carries) == 1:
+            ((q, n),) = ph.carries
+            product[q] = product.get(q, Fraction(1)) * by_id[ph.channel_id]
+            qubits[q] = qubits.get(q, 0) + n
+        else:
+            shared.append(ph)
+    merged = replace(
+        config,
+        channels=config.channels + tuple(Channel(f"q{q}", product[q]) for q in product),
+        photons=tuple(shared) + tuple(Photon(f"q{q}", ((q, qubits[q]),)) for q in product),
+    )
+    value = success_probability(config)
+    assert isinstance(value, Fraction)
+    assert success_probability(merged) == value
 
 
 def test_layout_table_of_the_shared7_layout():

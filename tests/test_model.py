@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qnetagg.engine import block_evaluator, block_success
 from qnetagg.model import (
     Channel,
     MAX_D,
@@ -24,6 +25,7 @@ from qnetagg.model import (
     validate,
     violations,
 )
+from qnetagg.planner import two_channel_scenario
 
 CH = Channel("ch", 0.96)
 
@@ -173,18 +175,39 @@ def test_photon_rejects_non_integer_carries(carries):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, name",
     [
-        lambda: QrsCode(7.0, 4),
-        lambda: QrsCode(7, 4.0),
-        lambda: photons_per_qudit(QrsCode(7, 4), 1.5),
+        (lambda: QrsCode(7.0, 4), "d"),
+        (lambda: QrsCode(7, 4.0), "k"),
+        (lambda: photons_per_qudit(QrsCode(7, 4), 1.5), "q"),
+        (lambda: QrsCode(True, 1), "d"),
+        (lambda: QrsCode(3, True), "k"),
+        (lambda: photons_per_qudit(QrsCode(7, 4), True), "q"),
+        (lambda: MultiplexConfiguration(QrsCode(7, 4), (CH,), (), withheld=1.0), "withheld"),
+        (lambda: uniform_configuration(QrsCode(7, 4), 1, [(CH, 6)], withheld=True), "withheld"),
+        (lambda: two_channel_scenario(QrsCode(7, 4), 1, 3.0), "n"),
+        (lambda: two_channel_scenario(QrsCode(7, 4), 1, True), "n"),
+        (lambda: two_channel_scenario(QrsCode(7, 4), 1.0, 3), "q"),
+        (lambda: block_success(QrsCode(7, 4), [(6, 0.9), (True, 0.9)]), "block count"),
+        (lambda: block_success(QrsCode(7, 4), [(6.0, 0.9), (1, 0.9)]), "block count"),
+        (lambda: block_evaluator(QrsCode(7, 4), [(6, 0.9)], 1.0), "block count"),
     ],
-    ids=["float-d", "float-k", "float-q"],
+    ids=[
+        "float-d", "float-k", "float-q", "bool-d", "bool-k", "bool-q", "float-withheld",
+        "bool-withheld", "float-n", "bool-n", "float-scenario-q", "bool-block-count",
+        "float-block-count", "float-varying-count",
+    ],
 )
-def test_code_and_q_reject_non_integers(make):
-    # never truncated: 7.0 would pass trial division as a prime, 1.5 would act as q = 2
-    with pytest.raises(TypeError):
+def test_code_and_q_reject_non_integers(make, name):
+    # never truncated: 7.0 would pass trial division as a prime, 1.5 would act as q = 2,
+    # and a count True would index binomial_pmf's log table as a boolean mask
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, not "):
         make()
+
+
+def test_numpy_integers_convert_to_int():
+    config = MultiplexConfiguration(QrsCode(np.int64(7), np.int32(4)), (CH,), (), np.int64(1))
+    assert [type(v) for v in (config.code.d, config.code.k, config.withheld)] == [int] * 3
 
 
 def test_uniform_configuration_checks_q_before_the_split():

@@ -310,11 +310,25 @@ def test_one_chunk_starts_no_thread(monkeypatch):
     assert len(started) == 1
 
 
-def test_blocks_bound_the_memory_of_an_estimate(monkeypatch):
-    # On 2 CPUs each thread draws a chunk's 43 rows in blocks of at most 22
-    # and frees one block before it draws the next, so the peak stays below
-    # one chunk's words and flags: 43 rows of 4 + 1 bytes a trial.
-    config = CHUNKED_CASES["d43-odd-tail"][0]()
+@pytest.mark.parametrize(
+    "case, bytes_a_trial",
+    [
+        # 43 one-unit qudits, so no row is held across units: each thread draws
+        # blocks of at most 22 rows, and the peak stays below one chunk's words
+        # and flags, 43 rows of 4 + 1 bytes a trial
+        ("d43-odd-tail", 43 * 5),
+        # 18 units in blocks of 10 rows: each thread holds a block's words (10 rows
+        # of 4 bytes a trial), a running row for each open qudit (at most the 10
+        # sent) and 4 working rows (lost counts, a unit's flags, a new AND, its
+        # negation), one byte a trial each
+        ("shared-24", 2 * (10 * 4 + 10 + 4)),
+    ],
+    ids=["d43-odd-tail", "shared-24"],
+)
+def test_blocks_bound_the_memory_of_an_estimate(case, bytes_a_trial, monkeypatch):
+    # On 2 CPUs each thread frees one block before it draws the next; the
+    # bound does not depend on the host, because the CPU count is pinned.
+    config = CHUNKED_CASES[case][0]()
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     montecarlo.estimate(config, 2 * montecarlo.CHUNK, seed=1)  # imports the pool first
     tracemalloc.start()
@@ -323,7 +337,7 @@ def test_blocks_bound_the_memory_of_an_estimate(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 43 * montecarlo.CHUNK * 5
+    assert peak < bytes_a_trial * montecarlo.CHUNK
 
 
 def test_importing_qnetagg_imports_no_thread_pool():
