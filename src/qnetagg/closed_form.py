@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from math import comb, exp, log
 
-from .model import QrsCode, check_code, check_probability, clamp_roundoff, photons_per_qudit
+from .model import (
+    QrsCode, check_code, check_int, check_probability, clamp_roundoff, photons_per_qudit,
+)
 
 
 class WithheldExceedsTolerance(ValueError):
@@ -80,7 +82,7 @@ def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
     """
     check_code(code)
     check_probability("p", p)
-    if withheld < 0:
+    if check_int("withheld", withheld) < 0:
         raise ValueError("withheld must be non-negative")
     if withheld > code.tolerance():
         raise WithheldExceedsTolerance(
@@ -107,7 +109,7 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
     if code.logical_qudits() != 1:
         raise ToleranceMismatch(f"2k-d={code.logical_qudits()}, need exactly 1")
     d = code.d
-    if not (0 <= n <= d):
+    if not (0 <= check_int("n", n) <= d):
         raise ValueError(f"n={n} outside 0..{d}")
     top = (d - 1) // 2
     b = _binomial_terms(n, qudit_survival(code, q, p_b), top)

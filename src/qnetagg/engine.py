@@ -9,9 +9,13 @@ The pass that groups a cluster's photons also builds its signature: per
 photon, its channel and its qudits by position in the cluster.  Each cluster
 is evaluated exactly by one walk over its signature (frontier-based
 reliability, a form of bucket elimination), and one
-:func:`loss_distribution` call walks each distinct signature once: clusters
-of one shape on the same channels, such as the singleton qudits of a uniform
-layout, share one walk and its pmf, keyed on the signature.  Photons are
+:func:`loss_distribution` call groups the clusters by signature: clusters of
+one shape on the same channels, such as the singleton qudits of a uniform
+layout, are one group, walked once, whose pmf is raised to the group's count
+by binary powering.  A group of more than :data:`LOG_SPACE_BINOMIAL_MAX`
+one-qudit clusters in floats is exactly a binomial and comes from
+:func:`binomial_pmf` instead: long float convolutions round at about
+1.6e-17 a qudit (3e-13 at d = 16411), the binomial within 1e-14.  Photons are
 taken greedily, next the one sharing the most qudits with those already
 touched.  A qudit is open from its first photon to its last; a state is the
 set of open qudits already erased and carries the pmf of the erased count
@@ -21,16 +25,20 @@ paths and rings stay at a handful at any length, and
 2^CLUSTER_STATE_BITS states (no cluster of at most 16 photons can).  The
 walk reads only a weight per photon outcome on each channel (arrived, lost,
 or either when its qudits are already erased), so the same arithmetic serves
-floats, Fractions (exact results), numpy arrays of one shape (one pmf per
-entry, each equal to its scalar walk bit for bit) and Python ints.
+floats, Fractions (exact results, powers included), numpy arrays of one shape
+(one pmf per entry, each equal to its scalar evaluation bit for bit) and
+Python ints.
 
 Layouts where every photon holds one qudit have a fast path,
 :func:`block_success`: qudits fail independently in blocks of equal
-survival, each block's loss count is binomial, and the binomial pmf is
-computed in log space from a cached row of log C(n, i), so it stays finite
-at any d.  Survivals may be numpy arrays, which lets the planner evaluate a
-whole grid of channel qualities in one call; :func:`block_evaluator` builds
-all blocks but one once, for a caller that varies one block.
+survival, and each block's loss count is binomial.  Up to
+:data:`LOG_SPACE_BINOMIAL_MAX` qudits the binomial pmf is computed in log
+space from a cached row of log C(n, i), so it stays finite at any d; its
+three logs grow with n and cancel, so above that size it takes Loader's
+saddle-point form, within 1e-14 of a 50-digit sum up to d = 65521.
+Survivals may be numpy arrays, which lets the planner evaluate a whole grid
+of channel qualities in one call; :func:`block_evaluator` builds all blocks
+but one once, for a caller that varies one block.
 
 A two-channel polynomial is also an integer table of surviving loss patterns.
 :func:`layout_table` reads a layout's from the same walk and fold in integer
@@ -52,7 +60,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, log
+from math import comb, log, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +72,7 @@ from .model import (
 
 CLUSTER_STATE_BITS = 16
 BRUTE_FORCE_PHOTON_LIMIT = 20
+LOG_SPACE_BINOMIAL_MAX = 1000  # binomial_pmf's log-space form up to this n, Loader's above
 
 
 class ClusterTooLarge(ValueError):
@@ -74,8 +84,7 @@ class TooManyPhotons(ValueError):
     """Brute-force oracle rejects configurations above its pattern budget."""
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A connected component of the photon-qudit incidence graph.
 
     ``signature`` is all the walk reads: per photon of ``photon_indices``, its
@@ -165,7 +174,8 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
             signature.append((ph.channel_id, position[first]))
         else:
             signature.append((ph.channel_id, tuple([position[q][0] for q, _ in held])))
-    return [Cluster(*map(tuple, clusters[root])) for root in sorted(clusters)]
+    # a root is its component's smallest qudit, met first in qudit order, so the roots ascend
+    return [Cluster(tuple(p), tuple(q), tuple(s)) for p, q, s in clusters.values()]
 
 
 def _photon_order(qudits: list[tuple[int, ...]]) -> list[int]:
@@ -255,18 +265,32 @@ def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.nda
 
 
 def _fold(config: MultiplexConfiguration, walk) -> np.ndarray:
-    """The pmf of erased transmitted qudits: ``walk(cluster)`` of each distinct
-    :attr:`Cluster.signature` once, reused for its other clusters, and the pmfs
-    convolved in cluster order.  :func:`cluster_decompose` validates."""
-    walked: dict[tuple, np.ndarray] = {}
+    """The pmf of erased transmitted qudits.  The clusters are grouped by
+    :attr:`Cluster.signature` in order of first appearance; ``walk`` of each group's
+    first cluster is raised to the group's count (:func:`_power`), and the groups'
+    pmfs are convolved in that order.  :func:`cluster_decompose` validates."""
+    groups: dict[tuple, list] = {}  # signature: [first cluster, count]
+    for cluster in cluster_decompose(config):
+        groups.setdefault(cluster.signature, [cluster, 0])[1] += 1
+    return reduce(_convolve_rows, [_power(walk(first), count) for first, count in groups.values()])
 
-    def pmf(cluster: Cluster) -> np.ndarray:
-        out = walked.get(cluster.signature)  # one hash of the signature per cluster
-        if out is None:
-            out = walked[cluster.signature] = walk(cluster)
-        return out
 
-    return reduce(_convolve_rows, map(pmf, cluster_decompose(config)))
+def _power(pmf: np.ndarray, count: int) -> np.ndarray:
+    """``pmf`` convolved with itself to ``count`` factors, by binary powering with
+    :func:`_convolve_rows`, so Fractions and integers stay exact.  More than
+    :data:`LOG_SPACE_BINOMIAL_MAX` factors of one qudit in floats are exactly a
+    binomial, ``binomial_pmf(count, pmf[..., 1])``: the long float convolutions of
+    powering round at about 1.6e-17 a qudit, the binomial within 1e-14."""
+    if pmf.shape[-1] == 2 and count > LOG_SPACE_BINOMIAL_MAX and pmf.dtype != object:
+        return binomial_pmf(count, pmf[..., 1])
+    out = None
+    while True:
+        if count & 1:
+            out = pmf if out is None else _convolve_rows(out, pmf)
+        count >>= 1
+        if not count:
+            return out
+        pmf = _convolve_rows(pmf, pmf)
 
 
 def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
@@ -386,18 +410,85 @@ def _log_comb_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row
 
 
+# stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15, 0 at k = 0
+_STIRLERR_SMALL = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(k):
+    """stirlerr at the integers ``k`` (an int or an array): tabled to 15, Stirling's
+    series above."""
+    big = np.maximum(k, 16).astype(float)
+    kk = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / big
+    return np.where(k > 15, series, _STIRLERR_SMALL[np.minimum(k, 15)])
+
+
+@lru_cache(maxsize=None)
+def _saddle_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(i, n - i, stirlerr(n) - stirlerr(i) - stirlerr(n - i)
+    - log(2 pi i (n - i) / n) / 2)`` for i = 0..n as floats, the last 0 at i = 0, n:
+    the part of Loader's log term that does not depend on the loss probability."""
+    i = np.arange(n + 1)
+    x = i[1:n]
+    base = np.zeros(n + 1)
+    base[1:n] = _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
+    base[1:n] -= 0.5 * (log(2 * pi) + np.log(x) + np.log1p(-x / n))
+    row = (i.astype(float), (n - i).astype(float), base)
+    for a in row:
+        a.setflags(write=False)
+    return row
+
+
+def _saddle_point_pmf(n: int, q) -> np.ndarray:
+    """Loader's saddle-point binomial pmf: term i is exp(stirlerr(n) - stirlerr(i)
+    - stirlerr(n - i) - bd0(i, nq) - bd0(n - i, np)) / sqrt(2 pi i (n - i) / n), p = 1 - q,
+    and the ends are exp(n log1p(-q)) and exp(n log q).  The deviance bd0(x, m) =
+    x log(x / m) + m - x enters as a pair whose m - x parts cancel exactly, so with
+    e = i - nq it is i log1p(e / nq) + (n - i) log1p(-e / np): two terms of size |e|
+    that round at |e| u, where the log-space form rounds at n u.  q = 0 or 1 gives
+    the exact pmf.
+
+    By Pinsker's inequality term i is below exp(-2 e^2 / n), which is 0.0 in floats
+    once e^2 > 376 n, so only the terms within that reach of some row's nq are
+    computed; the rest are the zeros they would round to."""
+    i, rest, base = _saddle_row(n)
+    q = np.asarray(q, dtype=float)
+    reach = sqrt(376 * n)
+    window = slice(max(0, int(n * q.min() - reach)), min(n, int(n * q.max() + reach)) + 1)
+    out = np.zeros(q.shape + (n + 1,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lost, kept = n * q[..., None], n * (1 - q[..., None])
+        excess = i[window] - lost
+        deviance = i[window] * np.log1p(excess / lost)
+        deviance += rest[window] * np.log1p(-excess / kept)
+        np.exp(base[window] - deviance, out=out[..., window])
+        out[..., 0] = np.exp(n * np.log1p(-q))
+        out[..., n] = np.exp(n * np.log(q))
+    return out
+
+
 def binomial_pmf(n: int, loss_probability) -> np.ndarray:
     """pmf of the number of losses among n independent qudits.
 
     ``loss_probability`` is a float or an array of them; the last axis of
-    the result holds 0..n losses.  Each term is exp(log C(n, i) + i log q +
-    (n - i) log(1 - q)), so none overflows at any n.  At q = 0 or 1 the one
-    factor 0 * log(0) is taken as 0, which makes the pmf exact there.  A
-    Fraction gives an exact object array.
+    the result holds 0..n losses.  Up to :data:`LOG_SPACE_BINOMIAL_MAX`, each
+    term is exp(log C(n, i) + i log q + (n - i) log(1 - q)), so none overflows
+    at any n; at q = 0 or 1 the one factor 0 * log(0) is taken as 0, which makes
+    the pmf exact there.  Those three logs grow with n and cancel, so above it
+    each term is :func:`_saddle_point_pmf`'s (C. Loader 2000, "Fast and accurate
+    computation of binomial probabilities").  A Fraction gives an exact object array.
     """
     if isinstance(loss_probability, Fraction):
         q = loss_probability
         return np.array([comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)])
+    if n > LOG_SPACE_BINOMIAL_MAX:
+        return _saddle_point_pmf(n, loss_probability)
     log_comb, i, rest = _log_comb_row(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.multiply.outer(np.log(loss_probability), i)

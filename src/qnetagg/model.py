@@ -359,7 +359,7 @@ def uniform_configuration(
     """
     m = photons_per_qudit(code, q)
     sent = code.d - withheld
-    total = sum(count for _, count in split)
+    total = sum(check_int("split count", count) for _, count in split)
     if total != sent:
         raise SplitMismatch(f"split covers {total} qudits, expected {sent}")
     sizes = [q] * (m - 1) + [code.qubits_per_qudit() - q * (m - 1)]

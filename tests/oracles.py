@@ -8,6 +8,7 @@ of binomial formulas, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 from collections import deque
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,29 @@ def pgf_success(survivals, budget: int) -> float:
         return 0.0
     pmf = pgf_loss_pmf([1.0 - s for s in survivals])
     return float(pmf[: budget + 1].sum())
+
+
+def binomial_tail(n: int, survival, budget: int) -> Decimal:
+    """P[Bin(n, 1 - survival) <= budget], the chance that at most ``budget`` of ``n``
+    qudits are lost when each survives with ``survival`` (a float, taken exactly, or
+    a Fraction), to 50 significant digits.
+
+    Loss term i + 1 is term i times (n - i) / (i + 1) * (1 - s) / s, from s^n at
+    i = 0, summed in ``decimal`` with an exponent range that holds s^n at any n:
+    no logarithm and no binomial coefficient, unlike the engine's two forms."""
+    with localcontext(Context(prec=50, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        if isinstance(survival, Fraction):
+            s = Decimal(survival.numerator) / survival.denominator
+        else:
+            s = Decimal(survival)
+        if s == 0:
+            return Decimal(int(budget >= n))
+        ratio = (1 - s) / s
+        term = total = s**n
+        for i in range(min(budget, n)):
+            term = term * (n - i) / (i + 1) * ratio
+            total += term
+        return total
 
 
 def chain_loss_pmf(own_survivals, link_arrivals, ring: bool = False) -> np.ndarray:

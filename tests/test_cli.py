@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import binomial_tail
 from qnetagg import cli, planner
 from qnetagg.model import (
     Channel,
@@ -205,6 +206,19 @@ def test_allocate_huge_d_exit_2_at_once(tmp_path):
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert f"d={HUGE_D} exceeds MAX_D" in line
+
+
+def test_allocate_at_the_largest_prime_code(tmp_path):
+    # d = 65521, the largest prime within MAX_D: one block of 65521 qudits at
+    # survival 0.52, whose binomial tail the engine holds within 1e-13
+    path = tmp_path / "largest.json"
+    channels = [{"id": "a", "p": 0.52, "capacity": 70000}]
+    path.write_text(json.dumps({"channels": channels, "codes": [{"d": 65521, "k": 32761}], "q": 16}))
+    result = run_cli(["allocate", str(path)], timeout=60)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["split"] == {"a": 65521}
+    assert abs(report["achieved"] - float(binomial_tail(65521, 0.52, 32760))) <= 1e-13
 
 
 def test_sweep_without_layout_exit_2():

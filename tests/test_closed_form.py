@@ -117,6 +117,22 @@ def test_closed_forms_reject_invalid_codes(code, named):
         assert not isinstance(caught.value, (WithheldExceedsTolerance, ToleranceMismatch))
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: ps_single_withheld(QrsCode(7, 4), 1, 0.9, True), "withheld"),
+        (lambda: ps_single_withheld(QrsCode(7, 4), 1, 0.9, 1.0), "withheld"),
+        (lambda: ps_two_channel(QrsCode(7, 4), 1, 3.0, 0.9, 0.95), "n"),
+        (lambda: ps_two_channel(QrsCode(7, 4), 1, True, 0.9, 0.95), "n"),
+    ],
+    ids=["bool-withheld", "float-withheld", "float-n", "bool-n"],
+)
+def test_closed_forms_reject_non_integer_counts(make, name):
+    # never read as a count: True is no 1 withheld qudit, and 3.0 no 3 qudits in channel B
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, not "):
+        make()
+
+
 # --- ps_two_channel --------------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, log
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_configuration, two_channel_layouts
-from oracles import chain_loss_pmf, enumerate_success, pattern_counts, pgf_loss_pmf, pgf_success
+from oracles import binomial_tail, chain_loss_pmf, enumerate_success, pattern_counts
+from oracles import pgf_loss_pmf, pgf_success
 from oracles import polynomial_table
 from oracles import clusters as oracle_clusters
 from qnetagg import closed_form, engine, planner
 from qnetagg.engine import (
     BRUTE_FORCE_PHOTON_LIMIT,
+    LOG_SPACE_BINOMIAL_MAX,
     ClusterTooLarge,
     TooManyPhotons,
     _convolve_rows,
@@ -34,6 +37,7 @@ from qnetagg.model import (
     MultiplexConfiguration,
     Photon,
     QrsCode,
+    is_prime,
     shared7_configuration,
     uniform_configuration,
 )
@@ -519,7 +523,7 @@ def test_brute_force_rejects_array_probabilities():
     assert brute_force(exact) == success_probability(exact)
 
 
-# --- one walk per distinct cluster signature ------------------------------------
+# --- one walk per distinct cluster signature, powered by its count ----------------
 
 
 @pytest.fixture
@@ -549,6 +553,26 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray):
         assert got.tobytes() == want.tobytes()
 
 
+# A float pmf entry of the grouped fold against one walk per cluster, d <= 211: the
+# two round one sum in different orders (at most 6e-16 apart in these tests).
+FOLD_ATOL = 1e-14
+
+
+def _assert_folds_as_one_walk_per_cluster(config, got: np.ndarray):
+    """``got``, the pmf of ``config``, against the fold of one walk per cluster:
+    equal in Fractions, within FOLD_ATOL an entry in floats, and for array
+    probabilities each row equal to its scalar evaluation bit for bit."""
+    want = _unmemoised(config)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+        return
+    assert np.abs(got - want).max() <= FOLD_ATOL
+    for g in range(len(got) if got.ndim == 2 else 0):
+        row = {ch.id: float(ch.p[g]) if np.ndim(ch.p) else ch.p for ch in config.channels}
+        assert got[g].tobytes() == loss_distribution(_at(config, row)).pmf.tobytes()
+
+
 def test_uniform_layout_walks_one_cluster_per_channel(walks):
     config = uniform_configuration(
         QrsCode(211, 106), 1, [(Channel("a", 0.92), 105), (Channel("b", 0.93), 106)]
@@ -556,7 +580,9 @@ def test_uniform_layout_walks_one_cluster_per_channel(walks):
     dist = loss_distribution(config)
     assert len(cluster_decompose(config)) == 211
     assert [config.photons[c.photon_indices[0]].channel_id for c in walks] == ["a", "b"]
-    _assert_same_bits(dist.pmf, _unmemoised(config))
+    _assert_folds_as_one_walk_per_cluster(config, dist.pmf)
+    grid = _at(config, {"a": np.array([0.92, 0.5, 1.0]), "b": np.array([0.93, 0.3, 0.0])})
+    _assert_folds_as_one_walk_per_cluster(grid, loss_distribution(grid).pmf)
 
 
 def test_ring_and_singletons_walk_twice(walks):
@@ -567,7 +593,9 @@ def test_ring_and_singletons_walk_twice(walks):
     config = MultiplexConfiguration(QrsCode(23, 12), channels, tuple(ring + singles))
     dist = loss_distribution(config)
     assert sorted(len(c.photon_indices) for c in walks) == [1, 19]
-    _assert_same_bits(dist.pmf, _unmemoised(config))
+    _assert_folds_as_one_walk_per_cluster(config, dist.pmf)
+    exact = _at(config, {"a": Fraction(19, 20), "b": Fraction(9, 10)})
+    _assert_folds_as_one_walk_per_cluster(exact, loss_distribution(exact).pmf)
 
 
 def _pairs(first: str, second: str) -> MultiplexConfiguration:
@@ -607,7 +635,7 @@ def test_photon_order_is_part_of_the_signature(walks):
     _assert_same_bits(dist.pmf, _unmemoised(swapped))
 
 
-def test_memo_is_bit_identical_to_one_walk_per_cluster(rng, walks):
+def test_grouped_fold_agrees_with_one_walk_per_cluster(rng, walks):
     # floats, Fractions and arrays of probabilities; a third of the layouts repeat a cluster
     repeated = 0
     for _ in range(30):
@@ -618,7 +646,7 @@ def test_memo_is_bit_identical_to_one_walk_per_cluster(rng, walks):
             walks.clear()
             got = loss_distribution(variant).pmf
             repeated += len(walks) < len(cluster_decompose(variant))
-            _assert_same_bits(got, _unmemoised(variant))
+            _assert_folds_as_one_walk_per_cluster(variant, got)
     assert repeated >= 15
 
 
@@ -630,8 +658,8 @@ def test_no_memo_survives_a_call(rng):
         second = _at(config, {c.id: rng.uniform(0.05, 1) for c in config.channels})
         a, b = loss_distribution(first).pmf, loss_distribution(second).pmf
         assert a.tobytes() != b.tobytes()
-        _assert_same_bits(a, _unmemoised(first))
-        _assert_same_bits(b, _unmemoised(second))
+        _assert_folds_as_one_walk_per_cluster(first, a)
+        _assert_folds_as_one_walk_per_cluster(second, b)
 
 
 # --- cluster signatures --------------------------------------------------------
@@ -727,6 +755,74 @@ def test_binomial_pmf_normalized_at_large_n():
     assert np.isfinite(pmf).all()
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     assert pmf.argmax() == int(0.3 * 2004)
+
+
+def test_binomial_pmf_keeps_the_log_space_form_up_to_the_cut():
+    # up to the cut each term is exp(log C(n, i) + i log q + (n - i) log1p(-q)), bit for bit
+    for n in (1, 7, 211, LOG_SPACE_BINOMIAL_MAX):
+        i = np.arange(n + 1)
+        log_comb = np.array([log(comb(n, j)) for j in range(n + 1)])
+        for q in (0.3, 0.0731, 0.0, np.array([0.5, 0.999, 1.0])):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_q = np.multiply.outer(np.log(q), i)
+                log_p = np.multiply.outer(np.log1p(-q), n - i)
+            log_q[..., 0] = 0.0
+            log_p[..., n] = 0.0
+            want = np.exp(log_q + log_p + log_comb)
+            assert binomial_pmf(n, q).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [LOG_SPACE_BINOMIAL_MAX, LOG_SPACE_BINOMIAL_MAX + 1, 2003, 16411])
+def test_binomial_pmf_within_1e_13_of_the_decimal_tail_on_both_sides_of_the_cut(n):
+    for s in (0.02, 0.3, 0.5, 0.52, 0.9, 0.999):
+        cdf = np.cumsum(binomial_pmf(n, 1 - s))
+        for budget in (0, n // 10, n // 2 - 1, n // 2, 9 * n // 10, n - 1):
+            assert abs(cdf[budget] - float(binomial_tail(n, s, budget))) <= 1e-13, (s, budget)
+
+
+def test_saddle_point_rows_equal_their_scalar_calls():
+    # above the cut too, an array entry equals its scalar evaluation bit for bit
+    q = np.array([0.0, 1.0, 1e-300, 1 - 1e-16, 0.3, 0.48, 0.77, 0.999])
+    for n in (LOG_SPACE_BINOMIAL_MAX + 1, 4099):
+        rows = binomial_pmf(n, q)
+        assert rows.shape == (len(q), n + 1) and np.isfinite(rows).all()
+        for row, x in zip(rows, q):
+            assert row.tobytes() == binomial_pmf(n, float(x)).tobytes()
+        assert rows[0].tolist() == [1.0] + [0.0] * n
+        assert rows[1].tolist() == [0.0] * n + [1.0]
+
+
+def test_binomial_tail_oracle_equals_fractions():
+    for n in (1, 2, 7, 43):
+        for s in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(96, 100) ** 3, 0.52, 0.999):
+            exact_s = Fraction(s)
+            for budget in sorted({0, n // 2, n - 1, n}):
+                exact = sum(
+                    comb(n, i) * (1 - exact_s) ** i * exact_s ** (n - i) for i in range(budget + 1)
+                )
+                assert abs(Fraction(binomial_tail(n, s, budget)) - exact) < Fraction(1, 10**45)
+
+
+# the crash point of the block path, s = 0.52 at d = 65521, and its neighbours
+LARGE_D_SURVIVALS = (0.49, 0.495, 0.5, 0.505, 0.51, 0.515, 0.52, 0.525, 0.53)
+
+
+@pytest.mark.parametrize("d", [16411, 65521])
+def test_block_success_within_1e_13_at_large_d(d):
+    code = QrsCode(d, (d + 1) // 2)
+    for s in LARGE_D_SURVIVALS:
+        want = float(binomial_tail(d, s, code.tolerance()))
+        assert abs(block_success(code, [(d, s)]) - want) <= 1e-13, s
+
+
+@pytest.mark.parametrize("d", [16411, 65521])
+def test_one_photon_per_qudit_layout_within_1e_13_at_large_d(d):
+    # one group of d one-qudit clusters: binomial_pmf, not d convolutions
+    code = QrsCode(d, (d + 1) // 2)
+    grid = np.array(LARGE_D_SURVIVALS)
+    config = uniform_configuration(code, code.qubits_per_qudit(), [(Channel("c", grid), d)])
+    for s, value in zip(LARGE_D_SURVIVALS, success_probability(config)):
+        assert abs(value - float(binomial_tail(d, s, code.tolerance()))) <= 1e-13, s
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 3])
@@ -871,6 +967,86 @@ def test_private_photons_act_as_one_photon_at_the_product_of_their_p(config, p1,
     value = success_probability(config)
     assert isinstance(value, Fraction)
     assert success_probability(merged) == value
+
+
+@settings(max_examples=150)
+@given(
+    two_channel_layouts(),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12),
+    st.data(),
+)
+def test_a_third_channel_at_the_same_p_leaves_the_distribution_exact(config, p1, p2, data):
+    # a channel is part of a cluster's signature, so moving photons to a twin channel
+    # regroups the clusters the fold powers, but it is the same layout
+    config = with_probabilities(config, p1, p2)
+    on_a = [i for i, ph in enumerate(config.photons) if ph.channel_id == "a"]
+    moved = data.draw(st.sets(st.sampled_from(on_a)) if on_a else st.just(set()))
+    photons = tuple(
+        Photon("c", ph.carries) if i in moved else ph for i, ph in enumerate(config.photons)
+    )
+    twin = replace(config, channels=config.channels + (Channel("c", p1),), photons=photons)
+    dist = loss_distribution(config)
+    assert dist.pmf.dtype == object
+    assert loss_distribution(twin) == dist
+
+
+@settings(max_examples=100)
+@given(
+    two_channel_layouts(max_photons=8),
+    st.integers(2, 9),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12),
+)
+def test_disjoint_copies_power_the_distribution_exactly(config, copies, p1, p2):
+    # ``copies`` copies of a layout side by side, on the smallest prime code that holds
+    # them; each qudit's first carry takes the larger code's extra qubits, which the
+    # walk does not read.  The pmf is the layout's, convolved with itself one by one.
+    config = with_probabilities(config, p1, p2)
+    t = config.transmitted
+    d = next(d for d in itertools.count(copies * t) if is_prime(d))
+    code = QrsCode(d, d // 2 + 1)
+    extra = code.qubits_per_qudit() - config.code.qubits_per_qudit()
+    topped: set[int] = set()
+    layout = []
+    for ph in config.photons:
+        carries = []
+        for q, n in ph.carries:
+            carries.append((q, n + extra * (q not in topped)))
+            topped.add(q)
+        layout.append((ph.channel_id, carries))
+    photons = tuple(
+        Photon(channel, tuple((q + c * t, n) for q, n in carries))
+        for c in range(copies)
+        for channel, carries in layout
+    )
+    copied = MultiplexConfiguration(code, config.channels, photons, d - copies * t)
+    want = reduce(np.convolve, [loss_distribution(config).pmf] * copies)
+    assert loss_distribution(copied).pmf.tolist() == want.tolist()
+
+
+def _pair_layout(pairs: int, p_private, p_shared) -> MultiplexConfiguration:
+    """``pairs`` two-qudit clusters on d = 131 (a shared photon holds one qubit of
+    each qudit, a private photon the rest of one), singleton qudits after them."""
+    code = QrsCode(131, 66)
+    qubits = code.qubits_per_qudit()
+    photons = []
+    for c in range(pairs):
+        a, b = 2 * c, 2 * c + 1
+        photons += [Photon("s", ((a, 1), (b, 1))), Photon("p", ((a, qubits - 1),))]
+        photons.append(Photon("p", ((b, qubits - 1),)))
+    photons += [Photon("p", ((q, qubits),)) for q in range(2 * pairs, code.d)]
+    channels = (Channel("p", p_private), Channel("s", p_shared))
+    return MultiplexConfiguration(code, channels, tuple(photons))
+
+
+def test_powered_pairs_round_within_2e_17_a_qudit():
+    # the float bound for powered groups of multi-qudit clusters, checked against the
+    # exact value at the largest size a Fraction fold here affords: 65 pairs
+    floats = loss_distribution(_pair_layout(65, 0.9375, 0.96875)).pmf
+    exact = loss_distribution(_pair_layout(65, Fraction(15, 16), Fraction(31, 32))).pmf
+    error = max(abs(Fraction(x) - y) for x, y in zip(np.cumsum(floats), np.cumsum(exact)))
+    assert error <= 2e-17 * 131
 
 
 def test_layout_table_of_the_shared7_layout():

@@ -28,6 +28,7 @@ from qnetagg.model import (
 from qnetagg.planner import two_channel_scenario
 
 CH = Channel("ch", 0.96)
+CH2 = Channel("ch2", 0.9)
 
 
 def test_code_derived_quantities():
@@ -191,11 +192,13 @@ def test_photon_rejects_non_integer_carries(carries):
         (lambda: block_success(QrsCode(7, 4), [(6, 0.9), (True, 0.9)]), "block count"),
         (lambda: block_success(QrsCode(7, 4), [(6.0, 0.9), (1, 0.9)]), "block count"),
         (lambda: block_evaluator(QrsCode(7, 4), [(6, 0.9)], 1.0), "block count"),
+        (lambda: uniform_configuration(QrsCode(7, 4), 1, [(CH, 6), (CH2, True)]), "split count"),
+        (lambda: uniform_configuration(QrsCode(7, 4), 1, [(CH, 6), (CH2, 1.0)]), "split count"),
     ],
     ids=[
         "float-d", "float-k", "float-q", "bool-d", "bool-k", "bool-q", "float-withheld",
         "bool-withheld", "float-n", "bool-n", "float-scenario-q", "bool-block-count",
-        "float-block-count", "float-varying-count",
+        "float-block-count", "float-varying-count", "bool-split-count", "float-split-count",
     ],
 )
 def test_code_and_q_reject_non_integers(make, name):
