@@ -11,7 +11,18 @@ so none overflows at any d; terms are summed left to right.  Passing
 the tests use to bound the double-precision roundoff.  The module is
 independent of :mod:`engine`, so the two check each other.
 
-``ps6`` and ``ps15`` also take numpy arrays of probabilities.  Inputs and
+Float range: a float term's three logs grow with the number of qudits summed
+over and cancel, so the binomial tails' error grows with it.  Against a 50-digit
+sum, the worst error over survivals 0.45..0.70 is 3.3e-13 for ``ps_single``
+and 3.7e-13 for ``ps_two_channel`` at d = 4099; ``ps_single``'s is 6.1e-13 at
+d = 8191 and 1.1e-12 at 16411.  A float tail over more than
+:data:`FLOAT_BLOCK_MAX` = 4099 qudits (d - withheld, or d for two channels),
+where 1e-12 still holds with a margin above 2, raises :class:`FloatBlockTooLarge`;
+Fractions stay exact at any d, and ``engine.block_success`` holds 1e-13 up to
+d = 65521.
+
+``ps6`` and ``ps15`` also take numpy arrays of probabilities; the binomial
+tails raise :class:`~qnetagg.model.ArrayProbability` for one.  Inputs and
 results follow the rules of :mod:`model`: every code passes ``check_code``,
 every probability argument ``check_probability`` and every return value
 ``clamp_roundoff``.
@@ -21,9 +32,14 @@ from __future__ import annotations
 
 from math import comb, exp, log
 
+import numpy as np
+
 from .model import (
-    QrsCode, check_code, check_int, check_probability, clamp_roundoff, photons_per_qudit,
+    ArrayProbability, QrsCode, check_code, check_int, check_probability, clamp_roundoff,
+    photons_per_qudit,
 )
+
+FLOAT_BLOCK_MAX = 4099  # most qudits a float binomial tail sums over (module docstring)
 
 
 class WithheldExceedsTolerance(ValueError):
@@ -34,9 +50,30 @@ class ToleranceMismatch(ValueError):
     """Two-channel closed form requires a single-logical-qudit code (2k - d = 1)."""
 
 
+class FloatBlockTooLarge(ValueError):
+    """A float binomial tail over more than :data:`FLOAT_BLOCK_MAX` qudits."""
+
+
 def qudit_survival(code: QrsCode, q: int, p):
     """Per-qudit survival p**m with m photons per qudit at degree q."""
     return p ** photons_per_qudit(code, q)
+
+
+def _check_tail(qudits: int, *probabilities) -> None:
+    """:class:`~qnetagg.model.ArrayProbability` for an array probability, and
+    :class:`FloatBlockTooLarge` for a float one when the tail sums over more than
+    :data:`FLOAT_BLOCK_MAX` ``qudits``."""
+    for p in probabilities:
+        if isinstance(p, np.ndarray):
+            raise ArrayProbability(
+                f"the binomial tails take one probability per channel, not an array of "
+                f"shape {p.shape}; evaluate arrays with engine.block_success"
+            )
+        if isinstance(p, float) and qudits > FLOAT_BLOCK_MAX:
+            raise FloatBlockTooLarge(
+                f"a float tail over {qudits} qudits passes FLOAT_BLOCK_MAX={FLOAT_BLOCK_MAX}, "
+                "above which it may miss 1e-12; pass Fractions or use engine.block_success"
+            )
 
 
 def _binomial_terms(n: int, P, upto: int) -> list:
@@ -88,6 +125,7 @@ def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
         raise WithheldExceedsTolerance(
             f"withheld={withheld} exceeds tolerance {code.tolerance()}"
         )
+    _check_tail(code.d - withheld, p)
     P = qudit_survival(code, q, p)
     terms = _binomial_terms(code.d - withheld, P, code.tolerance() - withheld)
     return clamp_roundoff(sum(terms))
@@ -111,6 +149,7 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
     d = code.d
     if not (0 <= check_int("n", n) <= d):
         raise ValueError(f"n={n} outside 0..{d}")
+    _check_tail(d, p_a, p_b)
     top = (d - 1) // 2
     b = _binomial_terms(n, qudit_survival(code, q, p_b), top)
     a = _binomial_terms(d - n, qudit_survival(code, q, p_a), top)

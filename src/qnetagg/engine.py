@@ -12,12 +12,9 @@ reliability, a form of bucket elimination), and one
 :func:`loss_distribution` call groups the clusters by signature: clusters of
 one shape on the same channels, such as the singleton qudits of a uniform
 layout, are one group, walked once, whose pmf is raised to the group's count
-by binary powering.  A group of more than :data:`LOG_SPACE_BINOMIAL_MAX`
-one-qudit clusters in floats is exactly a binomial and comes from
-:func:`binomial_pmf` instead: long float convolutions round at about
-1.6e-17 a qudit (3e-13 at d = 16411), the binomial within 1e-14.  Photons are
-taken greedily, next the one sharing the most qudits with those already
-touched.  A qudit is open from its first photon to its last; a state is the
+by binary powering, or is a binomial block (below).  Photons are taken
+greedily, next the one sharing the most qudits with those already touched.
+A qudit is open from its first photon to its last; a state is the
 set of open qudits already erased and carries the pmf of the erased count
 among closed qudits.  The cost follows the number of states, not 2^photons:
 paths and rings stay at a handful at any length, and
@@ -31,11 +28,14 @@ Python ints.
 
 Layouts where every photon holds one qudit have a fast path,
 :func:`block_success`: qudits fail independently in blocks of equal
-survival, and each block's loss count is binomial.  Up to
-:data:`LOG_SPACE_BINOMIAL_MAX` qudits the binomial pmf is computed in log
-space from a cached row of log C(n, i), so it stays finite at any d; its
-three logs grow with n and cancel, so above that size it takes Loader's
-saddle-point form, within 1e-14 of a 50-digit sum up to d = 65521.
+survival, and each block's loss count is binomial.  So is a group of more
+than :data:`LOG_SPACE_BINOMIAL_MAX` one-qudit clusters in floats, whose
+powering would round at about 1.6e-17 a qudit (3e-13 at d = 16411).
+:func:`binomial_pmf` forms every float binomial block from one cached
+:func:`_binomial_row` per n: up to that size the row holds log C(n, i) and the
+pmf is computed in log space, so it stays finite at any d; its three logs grow
+with n and cancel, so above it the row holds Loader's stirlerr part and the pmf
+takes Loader's saddle-point form, within 1e-14 of a 50-digit sum up to d = 65521.
 Survivals may be numpy arrays, which lets the planner evaluate a whole grid
 of channel qualities in one call; :func:`block_evaluator` builds all blocks
 but one once, for a caller that varies one block.
@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import comb, log, pi, sqrt
 from typing import NamedTuple
 
@@ -392,24 +393,6 @@ def brute_force(config: MultiplexConfiguration):
 # --- fast path for block-uniform layouts --------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _log_comb_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(log C(n, i), i, n - i)`` for i = 0..n.
-
-    ``math.log`` takes the exact integer coefficients, so no entry overflows.
-    """
-    logs = [0.0] * (n + 1)
-    c = 1
-    for i in range(1, n + 1):
-        c = c * (n - i + 1) // i
-        logs[i] = log(c)
-    i = np.arange(n + 1)
-    row = (np.array(logs), i, n - i)
-    for a in row:
-        a.setflags(write=False)
-    return row
-
-
 # stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15, 0 at k = 0
 _STIRLERR_SMALL = np.array([
     0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
@@ -430,35 +413,66 @@ def _stirlerr(k):
 
 
 @lru_cache(maxsize=None)
-def _saddle_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(i, n - i, stirlerr(n) - stirlerr(i) - stirlerr(n - i)
-    - log(2 pi i (n - i) / n) / 2)`` for i = 0..n as floats, the last 0 at i = 0, n:
-    the part of Loader's log term that does not depend on the loss probability."""
+def _binomial_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(i, n - i, c)`` for i = 0..n: c is the part of
+    :func:`binomial_pmf`'s log term that does not depend on the loss probability.
+
+    Up to :data:`LOG_SPACE_BINOMIAL_MAX`, c is log C(n, i), ``math.log`` of the exact
+    integer coefficient, so no entry overflows, and i and n - i are ints.  Above it,
+    c is Loader's stirlerr(n) - stirlerr(i) - stirlerr(n - i) - log(2 pi i (n - i) / n) / 2,
+    0 at i = 0, n, and i and n - i are floats."""
     i = np.arange(n + 1)
-    x = i[1:n]
-    base = np.zeros(n + 1)
-    base[1:n] = _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
-    base[1:n] -= 0.5 * (log(2 * pi) + np.log(x) + np.log1p(-x / n))
-    row = (i.astype(float), (n - i).astype(float), base)
+    if n <= LOG_SPACE_BINOMIAL_MAX:
+        coefficients = accumulate(range(1, n + 1), lambda c, j: c * (n - j + 1) // j, initial=1)
+        c = np.array([log(coefficient) for coefficient in coefficients])
+    else:
+        x = i[1:n]
+        c = np.zeros(n + 1)
+        c[1:n] = _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
+        c[1:n] -= 0.5 * (log(2 * pi) + np.log(x) + np.log1p(-x / n))
+        i = i.astype(float)
+    row = (i, n - i, c)
     for a in row:
         a.setflags(write=False)
     return row
 
 
-def _saddle_point_pmf(n: int, q) -> np.ndarray:
-    """Loader's saddle-point binomial pmf: term i is exp(stirlerr(n) - stirlerr(i)
-    - stirlerr(n - i) - bd0(i, nq) - bd0(n - i, np)) / sqrt(2 pi i (n - i) / n), p = 1 - q,
-    and the ends are exp(n log1p(-q)) and exp(n log q).  The deviance bd0(x, m) =
-    x log(x / m) + m - x enters as a pair whose m - x parts cancel exactly, so with
-    e = i - nq it is i log1p(e / nq) + (n - i) log1p(-e / np): two terms of size |e|
-    that round at |e| u, where the log-space form rounds at n u.  q = 0 or 1 gives
-    the exact pmf.
+def binomial_pmf(n: int, loss_probability) -> np.ndarray:
+    """pmf of the number of losses among n independent qudits.
 
-    By Pinsker's inequality term i is below exp(-2 e^2 / n), which is 0.0 in floats
+    ``loss_probability`` q is a float or an array of them; the last axis of the
+    result holds 0..n losses, and each term is exp of a log term built on
+    :func:`_binomial_row`'s c.  Up to :data:`LOG_SPACE_BINOMIAL_MAX`, term i is
+    exp(log C(n, i) + i log q + (n - i) log(1 - q)), so none overflows at any n;
+    at q = 0 or 1 the one factor 0 * log(0) is taken as 0, which makes the pmf
+    exact there.  Those three logs grow with n and cancel, rounding at n u (u the
+    unit roundoff), so above
+    it term i is Loader's saddle-point form (C. Loader 2000, "Fast and accurate
+    computation of binomial probabilities"), exp(stirlerr(n) - stirlerr(i)
+    - stirlerr(n - i) - bd0(i, nq) - bd0(n - i, np)) / sqrt(2 pi i (n - i) / n) with
+    p = 1 - q, and the ends are exp(n log1p(-q)) and exp(n log q).  The deviance
+    bd0(x, m) = x log(x / m) + m - x enters as a pair whose m - x parts cancel
+    exactly, so with e = i - nq it is i log1p(e / nq) + (n - i) log1p(-e / np): two
+    terms of size |e| that round at |e| u.  q = 0 or 1 gives the exact pmf.  By
+    Pinsker's inequality term i is below exp(-2 e^2 / n), which is 0.0 in floats
     once e^2 > 376 n, so only the terms within that reach of some row's nq are
-    computed; the rest are the zeros they would round to."""
-    i, rest, base = _saddle_row(n)
-    q = np.asarray(q, dtype=float)
+    computed; the rest are the zeros they would round to.  A Fraction gives an
+    exact object array.
+    """
+    if isinstance(loss_probability, Fraction):
+        q = loss_probability
+        return np.array([comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)])
+    i, rest, c = _binomial_row(n)
+    if n <= LOG_SPACE_BINOMIAL_MAX:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q = np.multiply.outer(np.log(loss_probability), i)
+            log_p = np.multiply.outer(np.log1p(-loss_probability), rest)
+        log_q[..., 0] = 0.0
+        log_p[..., n] = 0.0
+        log_q += log_p
+        log_q += c
+        return np.exp(log_q, out=log_q)
+    q = np.asarray(loss_probability, dtype=float)
     reach = sqrt(376 * n)
     window = slice(max(0, int(n * q.min() - reach)), min(n, int(n * q.max() + reach)) + 1)
     out = np.zeros(q.shape + (n + 1,))
@@ -467,37 +481,10 @@ def _saddle_point_pmf(n: int, q) -> np.ndarray:
         excess = i[window] - lost
         deviance = i[window] * np.log1p(excess / lost)
         deviance += rest[window] * np.log1p(-excess / kept)
-        np.exp(base[window] - deviance, out=out[..., window])
+        np.exp(c[window] - deviance, out=out[..., window])
         out[..., 0] = np.exp(n * np.log1p(-q))
         out[..., n] = np.exp(n * np.log(q))
     return out
-
-
-def binomial_pmf(n: int, loss_probability) -> np.ndarray:
-    """pmf of the number of losses among n independent qudits.
-
-    ``loss_probability`` is a float or an array of them; the last axis of
-    the result holds 0..n losses.  Up to :data:`LOG_SPACE_BINOMIAL_MAX`, each
-    term is exp(log C(n, i) + i log q + (n - i) log(1 - q)), so none overflows
-    at any n; at q = 0 or 1 the one factor 0 * log(0) is taken as 0, which makes
-    the pmf exact there.  Those three logs grow with n and cancel, so above it
-    each term is :func:`_saddle_point_pmf`'s (C. Loader 2000, "Fast and accurate
-    computation of binomial probabilities").  A Fraction gives an exact object array.
-    """
-    if isinstance(loss_probability, Fraction):
-        q = loss_probability
-        return np.array([comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)])
-    if n > LOG_SPACE_BINOMIAL_MAX:
-        return _saddle_point_pmf(n, loss_probability)
-    log_comb, i, rest = _log_comb_row(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = np.multiply.outer(np.log(loss_probability), i)
-        log_p = np.multiply.outer(np.log1p(-loss_probability), rest)
-    log_q[..., 0] = 0.0
-    log_p[..., n] = 0.0
-    log_q += log_p
-    log_q += log_comb
-    return np.exp(log_q, out=log_q)
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

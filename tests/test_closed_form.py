@@ -1,14 +1,19 @@
+import ast
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pgf_success
+from oracles import binomial_tail, pgf_success
+from qnetagg import closed_form
 from qnetagg.closed_form import (
+    FLOAT_BLOCK_MAX,
+    FloatBlockTooLarge,
     ToleranceMismatch,
     WithheldExceedsTolerance,
     ps6,
@@ -18,7 +23,7 @@ from qnetagg.closed_form import (
     ps_two_channel,
     qudit_survival,
 )
-from qnetagg.model import QrsCode
+from qnetagg.model import ArrayProbability, QrsCode
 
 D43 = QrsCode(43, 22)
 
@@ -272,6 +277,64 @@ def test_large_codes_match_oracle(d):
     value = ps_two_channel(code, 1, n, pa, pb)
     assert value == pytest.approx(pgf_success([Pa] * (d - n) + [Pb] * n, budget), abs=1e-12)
     assert 0.5 < value < 0.9
+
+
+@pytest.mark.parametrize("d", [7, 1031])
+def test_binomial_tails_reject_array_probabilities(d):
+    # one probability per channel: an array neither takes the exact branch nor
+    # overflows there
+    code, p = QrsCode(d, (d + 1) // 2), np.array([0.999, 0.99])
+    for call in (
+        lambda: ps_single(code, 1, p),
+        lambda: ps_single_withheld(code, 1, p, 1),
+        lambda: ps_two_channel(code, 1, d // 3, p, 0.9),
+        lambda: ps_two_channel(code, 1, d // 3, 0.9, p),
+    ):
+        with pytest.raises(ArrayProbability, match="engine.block_success"):
+            call()
+
+
+def test_float_tails_hold_1e_12_at_the_float_bound():
+    # FLOAT_BLOCK_MAX = 4099 qudits summed over, d - withheld for ps_single_withheld;
+    # q = 16 sends one photon a qudit, so the qudit survival is s itself
+    assert FLOAT_BLOCK_MAX == 4099
+    code, wider = QrsCode(4099, 2050), QrsCode(4111, 2056)
+    budget = code.tolerance()
+    for s in (0.47, 0.5, 0.53, 0.585):
+        oracle = float(binomial_tail(4099, s, budget))
+        assert abs(ps_single(code, 16, s) - oracle) <= 1e-12
+        assert abs(ps_two_channel(code, 16, 1366, s, s) - oracle) <= 1e-12
+        tail = float(binomial_tail(4099, s, wider.tolerance() - 12))
+        assert abs(ps_single_withheld(wider, 16, s, 12) - tail) <= 1e-12
+
+
+def test_float_tails_raise_above_the_float_bound():
+    code = QrsCode(4111, 2056)
+    for call in (
+        lambda: ps_single(code, 16, 0.52),
+        lambda: ps_single_withheld(code, 16, 0.52, 11),
+        lambda: ps_two_channel(code, 16, 1370, Fraction(1, 2), 0.52),
+        lambda: ps_single(QrsCode(65521, 32761), 16, 0.52),
+    ):
+        with pytest.raises(FloatBlockTooLarge, match="FLOAT_BLOCK_MAX=4099.*Fractions"):
+            call()
+    # Fractions stay exact past it
+    exact = ps_single_withheld(code, 16, Fraction(1, 2), 11)
+    assert isinstance(exact, Fraction)
+    assert abs(float(exact) - float(binomial_tail(4100, Fraction(1, 2), 2044))) < 1e-15
+
+
+def test_closed_form_imports_no_engine():
+    # criterion 5 checks the engine against these formulas, so they may not read it
+    tree = ast.parse(Path(closed_form.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert names.isdisjoint({"engine", "planner", "montecarlo", "wiring"}), names
 
 
 def test_endpoint_probabilities_give_exact_values():

@@ -696,22 +696,6 @@ def test_ring_signature_and_walk_do_not_depend_on_placement():
     _assert_same_bits(cluster_loss_pmf(a, low), cluster_loss_pmf(b, high))
 
 
-def test_relabelling_qudits_leaves_success_exact(rng):
-    for _ in range(30):
-        config = random_configuration(rng, max_photons=14)
-        exact = _at(config, {c.id: Fraction(round(c.p * 1000), 1000) for c in config.channels})
-        label = list(range(config.transmitted))
-        rng.shuffle(label)
-        photons = tuple(
-            Photon(ph.channel_id, tuple((label[q], n) for q, n in ph.carries))
-            for ph in exact.photons
-        )
-        relabelled = MultiplexConfiguration(exact.code, exact.channels, photons, exact.withheld)
-        value = success_probability(exact)
-        assert isinstance(value, Fraction)
-        assert success_probability(relabelled) == value
-
-
 # --- block path: log-space pmf, arrays, large codes -------------------------------
 
 
@@ -989,6 +973,44 @@ def test_a_third_channel_at_the_same_p_leaves_the_distribution_exact(config, p1,
     dist = loss_distribution(config)
     assert dist.pmf.dtype == object
     assert loss_distribution(twin) == dist
+
+
+@settings(max_examples=150)
+@given(
+    two_channel_layouts(),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12),
+    st.data(),
+)
+def test_relabelling_qudits_leaves_success_exact(config, p1, p2, data):
+    # a permutation of the transmitted qudits names the same layout
+    config = with_probabilities(config, p1, p2)
+    label = data.draw(st.permutations(range(config.transmitted)))
+    photons = tuple(
+        Photon(ph.channel_id, tuple((label[q], n) for q, n in ph.carries))
+        for ph in config.photons
+    )
+    value = success_probability(config)
+    assert isinstance(value, Fraction)
+    assert success_probability(replace(config, photons=photons)) == value
+
+
+@settings(max_examples=150)
+@given(
+    two_channel_layouts(),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12),
+    st.booleans(),
+)
+def test_success_does_not_fall_when_one_channel_improves(config, p1, p2, rise, first):
+    # a photon that arrives more often erases no more qudits on any pattern
+    low = with_probabilities(config, p1, p2)
+    if first:
+        p1 += rise * (1 - p1)
+    else:
+        p2 += rise * (1 - p2)
+    assert success_probability(with_probabilities(config, p1, p2)) >= success_probability(low)
 
 
 @settings(max_examples=100)
