@@ -30,6 +30,7 @@ every probability argument ``check_probability`` and every return value
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, exp, log
 
 import numpy as np
@@ -61,7 +62,8 @@ def qudit_survival(code: QrsCode, q: int, p):
 
 def _check_tail(qudits: int, *probabilities) -> None:
     """:class:`~qnetagg.model.ArrayProbability` for an array probability, and
-    :class:`FloatBlockTooLarge` for a float one when the tail sums over more than
+    :class:`FloatBlockTooLarge` for an inexact one (any but a Fraction or an int,
+    so a numpy float32 too) when the tail sums over more than
     :data:`FLOAT_BLOCK_MAX` ``qudits``."""
     for p in probabilities:
         if isinstance(p, np.ndarray):
@@ -69,7 +71,7 @@ def _check_tail(qudits: int, *probabilities) -> None:
                 f"the binomial tails take one probability per channel, not an array of "
                 f"shape {p.shape}; evaluate arrays with engine.block_success"
             )
-        if isinstance(p, float) and qudits > FLOAT_BLOCK_MAX:
+        if not isinstance(p, (Fraction, int)) and qudits > FLOAT_BLOCK_MAX:
             raise FloatBlockTooLarge(
                 f"a float tail over {qudits} qudits passes FLOAT_BLOCK_MAX={FLOAT_BLOCK_MAX}, "
                 "above which it may miss 1e-12; pass Fractions or use engine.block_success"
@@ -79,13 +81,15 @@ def _check_tail(qudits: int, *probabilities) -> None:
 def _binomial_terms(n: int, P, upto: int) -> list:
     """C(n, j) P^(n-j) (1-P)^j for j = 0..min(upto, n).
 
-    Fractions and ints stay exact.  A float term is exp(log C(n, j) +
+    Fractions and ints stay exact.  Any other P, a numpy float32 too, is taken
+    as the Python float it holds, and a float term is exp(log C(n, j) +
     (n-j) log P + j log(1-P)): ``math.log`` takes the exact integer C(n, j),
     so no factor overflows at any n; a factor 0^0 counts as 1.
     """
+    if isinstance(P, (Fraction, int)):
+        return [comb(n, j) * P ** (n - j) * (1 - P) ** j for j in range(min(upto, n) + 1)]
+    P = float(P)
     W = 1 - P
-    if not isinstance(P, float):
-        return [comb(n, j) * P ** (n - j) * W**j for j in range(min(upto, n) + 1)]
     terms = []
     c = 1
     for j in range(min(upto, n) + 1):

@@ -342,12 +342,20 @@ def table_array(counts: dict) -> np.ndarray:
 
 
 def _bernstein(coefficients, p):
-    """sum_j coefficients[..., j] p^j (1-p)^(n-j) over the last axis, j = 0..n."""
+    """sum_j coefficients[..., j] p^j (1-p)^(n-j) over the last axis, j = 0..n: each
+    term (c_j p^j) (1-p)^(n-j) without its factors p^0 = (1-p)^0 = 1, summed left to
+    right from the j = 0 term.  An all-zero sum is -0.0 exactly when every term is
+    (a negative coefficient times powers that are 0)."""
     n = coefficients.shape[-1] - 1
-    up, down = [1], [1]
-    for _ in range(n):
-        up, down = up + [up[-1] * p], down + [down[-1] * (1 - p)]
-    return sum(coefficients[..., j] * up[j] * down[n - j] for j in range(n + 1))
+    q = 1 - p
+    up, down = [1, p], [1, q]
+    for _ in range(n - 1):
+        up.append(up[-1] * p)
+        down.append(down[-1] * q)
+    total = coefficients[..., 0] * down[n]  # at n = 0 times 1: a new value, not a view
+    for j in range(1, n):
+        total = total + coefficients[..., j] * up[j] * down[n - j]
+    return total + coefficients[..., n] * up[n] if n else total
 
 
 def table_evaluator(table: np.ndarray, p2):
@@ -437,11 +445,13 @@ def _binomial_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row
 
 
-def binomial_pmf(n: int, loss_probability) -> np.ndarray:
-    """pmf of the number of losses among n independent qudits.
+def binomial_pmf(n: int, loss_probability, top: int | None = None) -> np.ndarray:
+    """pmf of the number of losses among n independent qudits, terms 0..top.
 
     ``loss_probability`` q is a float or an array of them; the last axis of the
-    result holds 0..n losses, and each term is exp of a log term built on
+    result holds 0..top losses, ``top`` being n unless given.  Only those terms are
+    formed, each by the same arithmetic as in the full row, so they equal its first
+    top + 1 entries bit for bit.  Each term is exp of a log term built on
     :func:`_binomial_row`'s c.  Up to :data:`LOG_SPACE_BINOMIAL_MAX`, term i is
     exp(log C(n, i) + i log q + (n - i) log(1 - q)), so none overflows at any n;
     at q = 0 or 1 the one factor 0 * log(0) is taken as 0, which makes the pmf
@@ -459,23 +469,25 @@ def binomial_pmf(n: int, loss_probability) -> np.ndarray:
     computed; the rest are the zeros they would round to.  A Fraction gives an
     exact object array.
     """
+    top = n if top is None else top
     if isinstance(loss_probability, Fraction):
         q = loss_probability
-        return np.array([comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)])
-    i, rest, c = _binomial_row(n)
+        return np.array([comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(top + 1)])
+    i, rest, c = (a[: top + 1] for a in _binomial_row(n))  # so any window stops at top
     if n <= LOG_SPACE_BINOMIAL_MAX:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.multiply.outer(np.log(loss_probability), i)
             log_p = np.multiply.outer(np.log1p(-loss_probability), rest)
         log_q[..., 0] = 0.0
-        log_p[..., n] = 0.0
+        if top == n:
+            log_p[..., n] = 0.0
         log_q += log_p
         log_q += c
         return np.exp(log_q, out=log_q)
     q = np.asarray(loss_probability, dtype=float)
     reach = sqrt(376 * n)
     window = slice(max(0, int(n * q.min() - reach)), min(n, int(n * q.max() + reach)) + 1)
-    out = np.zeros(q.shape + (n + 1,))
+    out = np.zeros(q.shape + (top + 1,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lost, kept = n * q[..., None], n * (1 - q[..., None])
         excess = i[window] - lost
@@ -483,7 +495,8 @@ def binomial_pmf(n: int, loss_probability) -> np.ndarray:
         deviance += rest[window] * np.log1p(-excess / kept)
         np.exp(c[window] - deviance, out=out[..., window])
         out[..., 0] = np.exp(n * np.log1p(-q))
-        out[..., n] = np.exp(n * np.log(q))
+        if top == n:
+            out[..., n] = np.exp(n * np.log(q))
     return out
 
 
@@ -524,25 +537,27 @@ def block_evaluator(code: QrsCode, fixed, count: int):
     """:func:`block_success` as ``success(survival)`` of a varying block of
     ``count`` qudits, its survival unchecked.  The code and the ``fixed``
     blocks are checked and convolved once, and the CDF entries the tail
-    sum_i pmf[i] * CDF[budget - i] reads are gathered once.  ``ValueError``
+    sum_i pmf[i] * CDF[budget - i] reads are gathered once; a call forms only the
+    pmf terms i = 0..min(budget, count) that the tail reads.  ``ValueError``
     names a block whose count is negative or brings the total above d,
     ``TypeError`` one whose count is a bool or not an integer."""
     check_code(code)
     for _, survival in fixed:
         check_probability("survival", survival)
-    total = 0
+    counts = []  # as Python ints: a numpy count would overflow _binomial_row's integers
     for n in [n for n, _ in fixed] + [count]:
-        total += check_int("block count", n)
-        if n < 0 or total > code.d:
+        counts.append(check_int("block count", n))
+        if n < 0 or sum(counts) > code.d:
             raise ValueError(f"block of {n} qudits: counts must be >= 0 and total <= d={code.d}")
+    *sizes, count = counts
     budget = code.tolerance()
-    pmfs = [binomial_pmf(n, 1 - P) for n, P in fixed if n]
+    pmfs = [binomial_pmf(n, 1 - P) for n, (_, P) in zip(sizes, fixed) if n]
     cdf = np.cumsum(reduce(_convolve_rows, pmfs), axis=-1) if pmfs else np.ones(1, dtype=int)
     top = min(budget, count)
     tail = cdf[..., np.minimum(budget - np.arange(top + 1), cdf.shape[-1] - 1)]
 
     def success(survival):
-        pmf = binomial_pmf(count, 1 - survival)
-        return clamp_roundoff((pmf[..., : top + 1] * tail).sum(axis=-1))
+        pmf = binomial_pmf(count, 1 - survival, top=top)
+        return clamp_roundoff((pmf * tail).sum(axis=-1))
 
     return success

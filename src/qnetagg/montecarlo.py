@@ -28,14 +28,15 @@ it arrives with probability ``round(P * 2**32) / 2**32``: at most 2^-33
 survives when every one of its units arrives.
 
 A chunk draws its rows in blocks of ceil(n_units / W) rows, rounded up to
-an even count so that a block is whole 64-bit words; consecutive draws from
-one stream return the words of a single draw.  Each row becomes arrival
-flags as soon as it is drawn.  A qudit is open from its first unit to its
-last: it keeps one running row, the AND of its units' flags so far, and is
-judged when its last unit is drawn, so a chunk holds one byte a trial per
-open qudit beside its block.  A thread frees each block before it draws the
-next, so the W threads together hold at most W blocks, n_units + 2W rows:
-about one chunk's words when units outnumber threads.
+an even count so that a block is whole 64-bit words, and at most
+:data:`MAX_BLOCK_ROWS`; consecutive draws from one stream return the words
+of a single draw, so the block size never changes a word.  Each row becomes
+arrival flags as soon as it is drawn.  A qudit is open from its first unit
+to its last: it keeps one running row, the AND of its units' flags so far,
+and is judged when its last unit is drawn, so a chunk holds one byte a trial
+per open qudit beside its block.  A thread frees each block before it draws
+the next, so the W threads together hold at most W blocks: at most
+W * MAX_BLOCK_ROWS rows of words (16 MiB a thread), whatever the layout's size.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import numpy as np
 from .model import MultiplexConfiguration, check_int, check_scalar_channels, validate
 
 CHUNK = 1 << 16
+MAX_BLOCK_ROWS = 64  # rows of CHUNK words a thread draws at once (module docstring)
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,7 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
     workers = min(_cpu_count(), chunks)
     block = -(-n_units // workers)
     block += block % 2  # whole 64-bit words, even when a row has odd length
+    block = min(block, MAX_BLOCK_ROWS)
 
     # Runs in pool threads too, so it calls numpy alone: no qnetagg function,
     # which perfbench/tracing.py may wrap with its single span stack.

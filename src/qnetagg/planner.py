@@ -7,8 +7,10 @@ plain bisection converges; the residual at every reported point is at most
 1e-9.  A sweep bisects the points of its ``p2`` grid together (for large
 codes, in chunks of grid points): the ``p2``-only part of ``P_S`` is built
 once per chunk, then each step evaluates the ``p1`` part on numpy arrays,
-until float resolution or 60 steps.  :func:`solve_p1` is the same bisection
-on a one-point grid.
+and of a block scenario's pmf only the terms its tail sum reads, until float
+resolution or 60 steps; float resolution is tested from step 53 on, the
+first at which a bracket can reach it.  :func:`solve_p1` is the same
+bisection on a one-point grid.
 
 Scenarios bundle an evaluator ``P_S(p1, p2)`` with a descriptor.  The two
 shared-photon scenarios of the paper's Fig. 4 sum the integer count table of
@@ -49,12 +51,13 @@ DEFAULT_TARGET = 0.995
 DEFAULT_GRID = (0.3, 1.0, 0.002)
 RESIDUAL_BOUND = 1e-9
 _BISECTION_STEPS = 60
+_FIRST_CLOSABLE_STEP = 53  # np.finfo(float).nmant + 1, the first step a bracket can close
 MAX_GRID_POINTS = 10**6
 # A sweep bisects at most _CHUNK_ENTRIES // (qudits + 1) grid points at a
-# time, so no (points, qudits + 1) block pmf exceeds 2^14 float64 entries
-# (128 KiB): small codes bisect the default grid in one go, and the
-# temporaries of large codes stay small.
-_CHUNK_ENTRIES = 1 << 14
+# time, so neither the fixed block's (points, qudits + 1) pmf nor a step's
+# narrower one exceeds 2^15 float64 entries (256 KiB): small codes bisect
+# the default grid in one go, and the temporaries of large codes stay small.
+_CHUNK_ENTRIES = 1 << 15
 
 
 class Infeasible(ValueError):
@@ -169,7 +172,10 @@ def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np
     points still being bisected.  Points where p1 = 1 falls short are
     infeasible; points where p1 = 0 already meets the target get 0.  ``lo``
     never meets the target and ``hi`` always does, so once every midpoint
-    equals one of them no bracket can move.
+    equals one of them no bracket can move.  Before step
+    :data:`_FIRST_CLOSABLE_STEP` no midpoint can (a bracket of [0, 1] halved s
+    times is 2^-s wide, with ends and midpoint exact floats while s <= 52), so
+    that test starts there; the steps it skips are the ones it would pass.
     """
     evaluate = at(p2)
     feasible = evaluate(np.ones_like(p2)) >= target
@@ -179,9 +185,9 @@ def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np
         p2 = p2[todo]
         evaluate = at(p2)
         lo, hi = np.zeros_like(p2), np.ones_like(p2)
-        for _ in range(_BISECTION_STEPS):
+        for step in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            if ((mid == lo) | (mid == hi)).all():
+            if step >= _FIRST_CLOSABLE_STEP and _closed(lo, mid, hi):
                 break
             met = evaluate(mid) >= target
             hi = np.where(met, mid, hi)
@@ -193,6 +199,11 @@ def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np
             )
         p1[todo] = hi
     return p1, feasible
+
+
+def _closed(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray) -> bool:
+    """Every midpoint equals an end of its bracket: no bracket can move again."""
+    return bool(((mid == lo) | (mid == hi)).all())
 
 
 def _thresholds(

@@ -223,6 +223,18 @@ def exhaustive_allocation(problem, target: float):
     return None
 
 
+def bernstein_lists(coefficients, p):
+    """sum_j coefficients[..., j] p^j (1-p)^(n-j) over the last axis, j = 0..n, by
+    ``engine._bernstein``'s former arithmetic, kept to check the current one bit for
+    bit: powers built from 1 in lists, 1 - p formed anew for each power, and every
+    term ``(c_j * p^j) * (1-p)^(n-j)`` added to an int 0, factors 1 included."""
+    n = coefficients.shape[-1] - 1
+    up, down = [1], [1]
+    for _ in range(n):
+        up, down = up + [up[-1] * p], down + [down[-1] * (1 - p)]
+    return sum(coefficients[..., j] * up[j] * down[n - j] for j in range(n + 1))
+
+
 def bisect_60(scenario, grid, target: float):
     """``(points, infeasible)`` of a sweep by a plain 60-step bisection.
 

@@ -324,6 +324,24 @@ def test_float_tails_raise_above_the_float_bound():
     assert abs(float(exact) - float(binomial_tail(4100, Fraction(1, 2), 2044))) < 1e-15
 
 
+def test_numpy_float32_takes_the_float_branch():
+    # a float32 is no exact number: it is read as the float it holds, never summed
+    # with exact integer coefficients (which overflowed at d = 1031)
+    p = np.float32(0.9)
+    value = ps_single(QrsCode(7, 4), 1, p)  # P = p^3, rounded to float32
+    assert type(value) is float
+    assert abs(value - ps_single(QrsCode(7, 4), 1, 0.9)) < 1e-6
+    assert ps_single(QrsCode(7, 4), 3, p) == ps_single(QrsCode(7, 4), 3, float(p))  # P = p
+    big, s = QrsCode(1031, 516), np.float32(0.52)
+    assert ps_single(big, 11, s) == ps_single(big, 11, float(s))
+    assert abs(ps_single(big, 11, s) - float(binomial_tail(1031, float(s), 515))) <= 1e-12
+    assert ps_two_channel(big, 11, 300, s, s) == ps_two_channel(big, 11, 300, float(s), float(s))
+    with pytest.raises(FloatBlockTooLarge, match="FLOAT_BLOCK_MAX=4099"):
+        ps_single(QrsCode(4111, 2056), 16, s)
+    with pytest.raises(FloatBlockTooLarge, match="FLOAT_BLOCK_MAX=4099"):
+        ps_two_channel(QrsCode(4111, 2056), 16, 1370, Fraction(1, 2), s)
+
+
 def test_closed_form_imports_no_engine():
     # criterion 5 checks the engine against these formulas, so they may not read it
     tree = ast.parse(Path(closed_form.__file__).read_text())

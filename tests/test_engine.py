@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_configuration, two_channel_layouts
-from oracles import binomial_tail, chain_loss_pmf, enumerate_success, pattern_counts
+from oracles import bernstein_lists, binomial_tail, chain_loss_pmf, enumerate_success
+from oracles import pattern_counts
 from oracles import pgf_loss_pmf, pgf_success
 from oracles import polynomial_table
 from oracles import clusters as oracle_clusters
-from qnetagg import closed_form, engine, planner
+from qnetagg import closed_form, engine, planner, wiring
 from qnetagg.engine import (
     BRUTE_FORCE_PHOTON_LIMIT,
     LOG_SPACE_BINOMIAL_MAX,
@@ -711,6 +712,19 @@ def test_block_success_large_codes(d, p):
     assert value == pytest.approx(closed_form.ps_single(code, 1, p), abs=1e-12)
 
 
+def test_block_success_takes_numpy_counts_as_ints():
+    # a count reaches the cached binomial row as a Python int: a numpy one would
+    # overflow the row's exact integer coefficients in int64, and np.int64(n) and n
+    # are one cache key, so the bad row would serve int callers too
+    code = QrsCode(211, 106)
+    blocks = [(100, 0.6), (111, 0.7)]
+    engine._binomial_row.cache_clear()
+    got = block_success(code, [(np.int64(n), s) for n, s in blocks])
+    engine._binomial_row.cache_clear()
+    assert got == block_success(code, blocks)
+    assert abs(got - pgf_success([0.6] * 100 + [0.7] * 111, 105)) < 1e-12
+
+
 def test_block_success_fraction_is_exact():
     code = QrsCode(7, 4)
     p = Fraction(96, 100)
@@ -762,6 +776,67 @@ def test_binomial_pmf_within_1e_13_of_the_decimal_tail_on_both_sides_of_the_cut(
         cdf = np.cumsum(binomial_pmf(n, 1 - s))
         for budget in (0, n // 10, n // 2 - 1, n // 2, 9 * n // 10, n - 1):
             assert abs(cdf[budget] - float(binomial_tail(n, s, budget))) <= 1e-13, (s, budget)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 211, 1000, 1001, 4099])
+def test_binomial_pmf_to_top_is_the_full_row_cut_bit_for_bit(n):
+    # block_evaluator forms only the terms its tail reads; each is the full row's
+    qs = (0.0, 1.0, 0.3, 1e-300, 1 - 1e-16, np.array([0.0, 1.0, 0.02, 0.48, 0.5, 0.77, 0.999]))
+    for q in qs:
+        full = binomial_pmf(n, q)
+        for top in sorted({0, 1, n // 10, n // 2, n - 1, n} & set(range(n + 1))):
+            cut = binomial_pmf(n, q, top=top)
+            assert cut.shape == full.shape[:-1] + (top + 1,)
+            assert cut.tobytes() == full[..., : top + 1].tobytes(), (q, top)
+    exact = binomial_pmf(n, Fraction(1, 3))
+    assert binomial_pmf(n, Fraction(1, 3), top=n // 2).tolist() == exact[: n // 2 + 1].tolist()
+
+
+def _bernstein_cases():
+    """(coefficients, p) pairs as the table evaluators pass them."""
+    table = engine.table_array(closed_form.PS15_TABLE)  # (9, 8)
+    grid = np.array(planner.grid_points(*planner.DEFAULT_GRID))  # (351,)
+    rows = engine._bernstein(table, grid[:, None])  # (351, 9): table_evaluator's p2 sums
+    # the wiring search: every class's table difference from the reference at once,
+    # (40, 9, 8), with negative entries, at (50, 1) probe pairs
+    classes, ref = wiring._tables()
+    diffs = np.stack([t - ref for t in classes.values()])
+    probe = np.random.default_rng(7).uniform(0.05, 0.999, (2, 50, 1))
+    wired = engine._bernstein(diffs, probe[1][..., None])  # (50, 40, 9)
+    yield table, 0.4
+    yield table[0], 0.0
+    yield table[:, 0], 1.0
+    yield table, grid[:, None]
+    yield rows, grid
+    yield rows, 0.2 * grid + 0.7
+    yield diffs, probe[1][..., None]
+    yield wired, probe[0]
+    yield table - 40, 0.8
+    yield diffs[3], 0.55
+    yield table[:1, :1], 0.6  # n = 0: one term
+    yield table, Fraction(3, 7)
+    yield table.astype(object) * 3**40, Fraction(2, 9)
+
+
+def test_bernstein_is_its_former_arithmetic_bit_for_bit():
+    for coefficients, p in _bernstein_cases():
+        got, want = engine._bernstein(coefficients, p), bernstein_lists(coefficients, p)
+        assert np.shape(got) == np.shape(want)
+        if isinstance(p, Fraction):
+            assert np.all(got == want)
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_bernstein_sum_is_minus_zero_only_when_every_term_is():
+    # the sum starts from the j = 0 term, not from an int 0, so only a sum of -0.0
+    # terms alone (negative coefficients over powers that are 0) keeps its sign
+    negative = -np.ones(1200, np.int64)  # 0.5^1199 is below the least subnormal
+    assert str(engine._bernstein(negative, 0.5)) == "-0.0"
+    assert str(bernstein_lists(negative, 0.5)) == "0.0"
+    mixed = negative.copy()
+    mixed[600] = 0  # one +0.0 term gives +0.0, as before
+    assert str(engine._bernstein(mixed, 0.5)) == str(bernstein_lists(mixed, 0.5)) == "0.0"
 
 
 def test_saddle_point_rows_equal_their_scalar_calls():

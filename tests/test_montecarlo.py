@@ -340,6 +340,41 @@ def test_blocks_bound_the_memory_of_an_estimate(case, bytes_a_trial, monkeypatch
     assert peak < bytes_a_trial * montecarlo.CHUNK
 
 
+def _uniform(d: int, p: float) -> MultiplexConfiguration:
+    """d one-unit qudits on one channel, q = 1."""
+    return uniform_configuration(QrsCode(d, (d + 1) // 2), 1, [(Channel("a", p), d)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_capped_blocks_draw_the_same_words(cpus, monkeypatch):
+    # 211 units: blocks of 64 rows, or of 106 and 212 without the cap; consecutive
+    # draws from one stream return one draw's words, so the estimate cannot move
+    config = _uniform(211, 0.93)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    capped = montecarlo.estimate(config, 2 * montecarlo.CHUNK + 777, seed=3)
+    assert 0 < capped.mean < 1
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_ROWS", 1 << 30)
+    assert montecarlo.estimate(config, 2 * montecarlo.CHUNK + 777, seed=3) == capped
+
+
+def test_memory_of_an_estimate_does_not_grow_with_the_layout():
+    # one chunk of CHUNK / 2 trials: a block of MAX_BLOCK_ROWS rows of 4-byte words
+    # at d = 211 and at d = 2003 (uncapped, 212 and 2004 rows), beside a few rows of
+    # one or two bytes a trial and the units' Python objects (~160 bytes each)
+    samples = montecarlo.CHUNK // 2
+    peaks = []
+    for d in (211, 2003):
+        config = _uniform(d, 0.95)
+        tracemalloc.start()
+        try:
+            montecarlo.estimate(config, samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+    assert peaks[1] < (4 * montecarlo.MAX_BLOCK_ROWS + 32) * samples
+
+
 def test_importing_qnetagg_imports_no_thread_pool():
     # concurrent.futures costs ~3 ms to import, which every CLI run would pay
     env = dict(os.environ)

@@ -1,5 +1,6 @@
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -349,14 +350,46 @@ def test_sweep_builds_fixed_block_once_per_chunk(monkeypatch):
     sizes = []
     pmf = engine.binomial_pmf
 
-    def counted(n, loss_probability):
+    def counted(n, loss_probability, top=None):
         sizes.append(n)
-        return pmf(n, loss_probability)
+        return pmf(n, loss_probability, top=top)
 
     monkeypatch.setattr(engine, "binomial_pmf", counted)
     sweep_curve(planner.two_channel_scenario(code, 8, 50), grid)
     assert chunks > 1
     assert 0 < sizes.count(161) <= 2 * chunks
+
+
+def test_sweep_tests_convergence_only_where_a_bracket_can_close(monkeypatch):
+    # d=43, n=20 bisects the default grid in one chunk.  Every bracket closes at
+    # step 53, the first step whose midpoint can equal an end, so the sweep makes
+    # 2 + 53 + 1 evaluator calls (p1 = 1 and 0, the steps, the residual) and one
+    # convergence test, made after the 53 steps' evaluations.
+    assert planner._FIRST_CLOSABLE_STEP == np.finfo(float).nmant + 1
+    scenario = planner.two_channel_scenario(D43, 1, 20)
+    calls, tests_after = [], []
+
+    def at(p2):
+        evaluate = scenario.at(p2)
+
+        def counted(p1):
+            calls.append(p1.size)
+            return evaluate(p1)
+
+        return counted
+
+    closed = planner._closed
+
+    def counted_closed(lo, mid, hi):
+        tests_after.append(len(calls))
+        return closed(lo, mid, hi)
+
+    monkeypatch.setattr(planner, "_closed", counted_closed)
+    curve = sweep_curve(replace(scenario, at=at), grid_points(*planner.DEFAULT_GRID))
+    assert len(calls) == 56
+    assert calls[:2] == [351, 351]  # then the points bisected: p1 = 0 misses the target
+    assert set(calls[2:]) == {sum(p1 > 0 for _, p1 in curve.points)}
+    assert tests_after == [2 + planner._FIRST_CLOSABLE_STEP]
 
 
 @pytest.mark.parametrize(
