@@ -138,7 +138,8 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
 
     Validates ``config`` first (:class:`~qnetagg.model.InvalidConfiguration`).
     Each photon's ``carries`` is read once, and only photons of two or more
-    qudits join components."""
+    qudits join components.  A photon that is the very object before it takes
+    that photon's signature entry, the same tuple, in the same cluster."""
     validate(config)
     carries = [ph.carries for ph in config.photons]
     parent = list(range(config.transmitted))
@@ -167,7 +168,13 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
         home.append(members)
         position.append((len(members[1]),))
         members[1].append(qudit)
+    previous = None
     for idx, (ph, held) in enumerate(zip(config.photons, carries)):
+        if ph is previous:  # the same object again: its cluster's last entry again
+            photons.append(idx)
+            signature.append(signature[-1])
+            continue
+        previous = ph
         first = held[0][0]
         photons, _, signature = home[first]
         photons.append(idx)

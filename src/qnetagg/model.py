@@ -254,7 +254,12 @@ class MultiplexConfiguration:
 
 
 def violations(config: MultiplexConfiguration) -> list[Violation]:
-    """Collect every broken invariant of ``config`` (empty list if valid)."""
+    """Collect every broken invariant of ``config`` (empty list if valid).
+
+    A photon that is the very object before it, when that one broke no rule, only
+    adds its qubits to the totals: it would break none either.  A repeat that breaks
+    a rule is checked at each index, so the report is that of equal distinct photons.
+    """
     out = list(config.code.check())
     if config.code.d > MAX_D:  # the layout of a code beyond the bound is not read
         return out
@@ -278,7 +283,13 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
 
     transmitted = max(config.transmitted, 0)
     qubit_totals = [0] * transmitted
+    previous, clean = None, False  # the photon before, and whether it broke no rule
     for idx, ph in enumerate(config.photons):
+        if clean and ph is previous:  # the same object again breaks no rule either
+            for qudit, count in ph.carries:
+                qubit_totals[qudit] += count
+            continue
+        start = len(out)
         if ph.channel_id not in known:
             out.append(
                 Violation("unknown-channel", f"photon {idx} uses channel {ph.channel_id!r}", idx)
@@ -311,6 +322,7 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
                 qubit_totals[qudit] += count
         if degree < 1:
             out.insert(mark, Violation("bad-qubit-count", f"photon {idx} carries no qubits", idx))
+        previous, clean = ph, len(out) == start
 
     for qudit, total in enumerate(qubit_totals):
         if total != per_qudit:
@@ -355,7 +367,9 @@ def uniform_configuration(
     all in that qudit's channel; the last photon of a qudit may carry fewer
     than ``q`` qubits so the per-qudit total is exact.  ``split`` assigns
     consecutive qudit blocks to channels and must cover all ``d - withheld``
-    transmitted qudits.
+    transmitted qudits.  A qudit's photons of one qubit count are one object,
+    repeated in each of their slots: photons are immutable, and which equal
+    photons are one object means nothing.
     """
     m = photons_per_qudit(code, q)
     sent = code.d - withheld
@@ -364,7 +378,10 @@ def uniform_configuration(
         raise SplitMismatch(f"split covers {total} qudits, expected {sent}")
     sizes = [q] * (m - 1) + [code.qubits_per_qudit() - q * (m - 1)]
     owners = [channel.id for channel, count in split for _ in range(count)]
-    photons = tuple(Photon(ch, ((qudit, n),)) for qudit, ch in enumerate(owners) for n in sizes)
+    photons, distinct = [], dict.fromkeys(sizes)
+    for qudit, ch in enumerate(owners):
+        one = {n: Photon(ch, ((qudit, n),)) for n in distinct}
+        photons += [one[n] for n in sizes]
     return MultiplexConfiguration(code, tuple(ch for ch, _ in split), photons, withheld)
 
 
@@ -456,19 +473,26 @@ def read_object(obj, where: str, **fields) -> list:
 
 
 def config_from_dict(doc: dict) -> MultiplexConfiguration:
+    """The configuration of a JSON document; ``ValueError`` names a bad key or value.
+
+    The code is read first, then the channels, then the photons and their carries in
+    document order.  Photons of one channel and equal carries are one object."""
     code, channels, photons, withheld = read_object(
         doc, "the document", code=dict, channels=list, photons=list, withheld=(int, 0)
     )
-    photons = (read_object(p, "a photon", channel=str, carries=list) for p in photons)
-    return MultiplexConfiguration(
-        QrsCode(*read_object(code, "'code'", d=int, k=int)),
-        tuple(Channel(*read_object(c, "a channel", id=str, p=float)) for c in channels),
-        tuple(
-            Photon(channel, [read_object(c, "a carry", qudit=int, qubits=int) for c in carries])
-            for channel, carries in photons
-        ),
-        withheld,
-    )
+    code = QrsCode(*read_object(code, "'code'", d=int, k=int))
+    channels = tuple(Channel(*read_object(c, "a channel", id=str, p=float)) for c in channels)
+    shared: dict[tuple, Photon] = {}  # (channel, carries): its one photon
+
+    def photon(obj) -> Photon:
+        channel, carries = read_object(obj, "a photon", channel=str, carries=list)
+        held = tuple(tuple(read_object(c, "a carry", qudit=int, qubits=int)) for c in carries)
+        key = channel, held
+        if key not in shared:
+            shared[key] = Photon(channel, held)
+        return shared[key]
+
+    return MultiplexConfiguration(code, channels, tuple(map(photon, photons)), withheld)
 
 
 def _unique_keys(pairs: list) -> dict:

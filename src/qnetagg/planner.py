@@ -5,10 +5,11 @@ channel's ``p1`` drop while the packet still succeeds with probability at
 least the target (default 0.995)?  Every evaluator is monotone in ``p1``, so
 plain bisection converges; the residual at every reported point is at most
 1e-9.  A sweep bisects the points of its ``p2`` grid together (for large
-codes, in chunks of grid points): the ``p2``-only part of ``P_S`` is built
-once per chunk, then each step evaluates the ``p1`` part on numpy arrays,
-and of a block scenario's pmf only the terms its tail sum reads, until float
-resolution or 60 steps; float resolution is tested from step 53 on, the
+codes, in chunks of grid points, the points left open by the p1 = 1 and
+p1 = 0 tests gathered from the whole grid first): the ``p2``-only part of
+``P_S`` is built once per chunk, then each step evaluates the ``p1`` part on
+numpy arrays, and of a block scenario's pmf only the terms its tail sum
+reads, until float resolution or 60 steps; float resolution is tested from step 53 on, the
 first at which a bracket can reach it.  :func:`solve_p1` is the same
 bisection on a one-point grid.
 
@@ -165,40 +166,29 @@ def shared_photon_11_scenario() -> Scenario:
     return _table_scenario("shared11", engine.table_array(closed_form.PS15_TABLE), 11)
 
 
-def _bisect(at: Callable, p2: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest p1 with P_S(p1, p2) >= target at every point of ``p2``, and feasibility.
+def _bisect(evaluate: Callable, p2: np.ndarray, target: float) -> np.ndarray:
+    """Smallest p1 with P_S(p1, p2) >= target at every point of ``p2``, by one
+    bisection of all of them on ``evaluate``, the evaluator of those points.
 
-    One bisection for all points, on the evaluator ``at`` builds for the
-    points still being bisected.  Points where p1 = 1 falls short are
-    infeasible; points where p1 = 0 already meets the target get 0.  ``lo``
-    never meets the target and ``hi`` always does, so once every midpoint
+    Every point must be open: p1 = 0 falls short of the target and p1 = 1 meets it.
+    ``lo`` never meets the target and ``hi`` always does, so once every midpoint
     equals one of them no bracket can move.  Before step
     :data:`_FIRST_CLOSABLE_STEP` no midpoint can (a bracket of [0, 1] halved s
     times is 2^-s wide, with ends and midpoint exact floats while s <= 52), so
     that test starts there; the steps it skips are the ones it would pass.
     """
-    evaluate = at(p2)
-    feasible = evaluate(np.ones_like(p2)) >= target
-    p1 = np.zeros_like(p2)
-    todo = np.flatnonzero(feasible & (evaluate(p1) < target))
-    if todo.size:
-        p2 = p2[todo]
-        evaluate = at(p2)
-        lo, hi = np.zeros_like(p2), np.ones_like(p2)
-        for step in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if step >= _FIRST_CLOSABLE_STEP and _closed(lo, mid, hi):
-                break
-            met = evaluate(mid) >= target
-            hi = np.where(met, mid, hi)
-            lo = np.where(met, lo, mid)
-        off = np.abs(evaluate(hi) - target) > RESIDUAL_BOUND
-        if off.any():
-            raise ArithmeticError(
-                f"bisection residual above {RESIDUAL_BOUND} at p2={p2[off][0]}"
-            )
-        p1[todo] = hi
-    return p1, feasible
+    lo, hi = np.zeros_like(p2), np.ones_like(p2)
+    for step in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if step >= _FIRST_CLOSABLE_STEP and _closed(lo, mid, hi):
+            break
+        met = evaluate(mid) >= target
+        hi = np.where(met, mid, hi)
+        lo = np.where(met, lo, mid)
+    off = np.abs(evaluate(hi) - target) > RESIDUAL_BOUND
+    if off.any():
+        raise ArithmeticError(f"bisection residual above {RESIDUAL_BOUND} at p2={p2[off][0]}")
+    return hi
 
 
 def _closed(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray) -> bool:
@@ -209,16 +199,27 @@ def _closed(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray) -> bool:
 def _thresholds(
     scenario: Scenario, p2_grid: Sequence[float], target: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated inputs, then :func:`_bisect` over the grid chunk by chunk."""
+    """Validated inputs, then p1 and feasibility at every grid point.
+
+    Chunk by chunk, points where p1 = 1 falls short are infeasible and points where
+    p1 = 0 already meets the target get 0.  The open points of the whole grid are
+    then bisected together by :func:`_bisect`, in chunks of the same size."""
     check_probability("target", target)
     p2 = np.array(p2_grid, dtype=float)
     check_probability("p2", p2)
     p1 = np.zeros_like(p2)
     feasible = np.zeros(p2.shape, dtype=bool)
     rows = max(1, _CHUNK_ENTRIES // (scenario.qudits + 1))
+    open_points = []
     for start in range(0, len(p2), rows):
         part = slice(start, start + rows)
-        p1[part], feasible[part] = _bisect(scenario.at, p2[part], target)
+        evaluate = scenario.at(p2[part])
+        feasible[part] = evaluate(np.ones_like(p2[part])) >= target
+        open_points.append(start + np.flatnonzero(feasible[part] & (evaluate(p1[part]) < target)))
+    todo = np.concatenate(open_points)
+    for start in range(0, todo.size, rows):
+        points = todo[start : start + rows]
+        p1[points] = _bisect(scenario.at(p2[points]), p2[points], target)
     return p1, feasible
 
 

@@ -89,7 +89,8 @@ def wiring_configuration(components: Sequence[Component], p1, p2) -> MultiplexCo
     # paths and cycles on disjoint qudits cover each qudit at most twice
     halves = Counter(q for edge in edges for q in edge)
     photons = [Photon("ch2", ((a, 2), (b, 2))) for a, b in edges]
-    photons += [Photon("ch1", ((q, 2),)) for q in range(d) for _ in range(2 - halves[q])]
+    for q in range(d):  # a free qudit's two halves are one photon object
+        photons += [Photon("ch1", ((q, 2),))] * (2 - halves[q])
     channels = (Channel("ch1", p1), Channel("ch2", p2))
     return MultiplexConfiguration(FAMILY_CODE, channels, tuple(photons), 0)
 

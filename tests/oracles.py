@@ -8,13 +8,21 @@ of binomial formulas, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from qnetagg import engine
-from qnetagg.model import MultiplexConfiguration, photons_per_qudit
+from qnetagg.model import MultiplexConfiguration, Photon, photons_per_qudit
+
+
+def copied(config: MultiplexConfiguration) -> MultiplexConfiguration:
+    """``config`` with every photon rebuilt as an object of its own, so no two
+    slots hold one object: what a layout means must not depend on sharing."""
+    photons = tuple(Photon(ph.channel_id, ph.carries) for ph in config.photons)
+    return replace(config, photons=photons)
 
 
 def enumerate_success(config: MultiplexConfiguration) -> float:
