@@ -29,8 +29,10 @@ Python ints.
 Layouts where every photon holds one qudit have a fast path,
 :func:`block_success`: qudits fail independently in blocks of equal
 survival, and each block's loss count is binomial.  So is a group of more
-than :data:`LOG_SPACE_BINOMIAL_MAX` one-qudit clusters in floats, whose
-powering would round at about 1.6e-17 a qudit (3e-13 at d = 16411).
+than :data:`LOG_SPACE_BINOMIAL_MAX` one-qudit clusters in floats.  Powering's long
+float convolutions drift in mass, 3.8e-17 a qudit in two-qudit clusters at p = 0.99,
+so a float group of more multi-qudit clusters is divided by its sum once powered:
+P_S within 2.3e-15 of a power-series oracle at d = 32771 and 65521.
 :func:`binomial_pmf` forms every float binomial block from one cached
 :func:`_binomial_row` per n: up to that size the row holds log C(n, i) and the
 pmf is computed in log space, so it stays finite at any d; its three logs grow
@@ -124,13 +126,6 @@ class LossDistribution:
         if upto < 0:
             return np.zeros_like(self.pmf[..., 0])[()]
         return np.cumsum(self.pmf[..., : upto + 1], axis=-1)[..., -1][()]
-
-    def check(self, tol: float = 1e-12) -> None:
-        total = self.pmf.sum(axis=-1)
-        if np.any(self.pmf < -1e-15):
-            raise ArithmeticError("negative pmf entry beyond roundoff")
-        if np.any(abs(total - 1) > tol):
-            raise ArithmeticError(f"pmf sums to {total}, not 1")
 
 
 def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
@@ -285,11 +280,14 @@ def _fold(config: MultiplexConfiguration, walk) -> np.ndarray:
 
 def _power(pmf: np.ndarray, count: int) -> np.ndarray:
     """``pmf`` convolved with itself to ``count`` factors, by binary powering with
-    :func:`_convolve_rows`, so Fractions and integers stay exact.  More than
-    :data:`LOG_SPACE_BINOMIAL_MAX` factors of one qudit in floats are exactly a
-    binomial, ``binomial_pmf(count, pmf[..., 1])``: the long float convolutions of
-    powering round at about 1.6e-17 a qudit, the binomial within 1e-14."""
-    if pmf.shape[-1] == 2 and count > LOG_SPACE_BINOMIAL_MAX and pmf.dtype != object:
+    :func:`_convolve_rows`, so Fractions and integers stay exact.  The long float
+    convolutions of powering drift in mass (module docstring), so more than
+    :data:`LOG_SPACE_BINOMIAL_MAX` factors in floats are rescaled: one qudit's are
+    exactly a binomial, ``binomial_pmf(count, pmf[..., 1])``, within 1e-14, and a
+    larger cluster's power is divided by its sum.  Fewer factors are left as
+    powered, within 1e-14 of one walk per cluster."""
+    rescale = count > LOG_SPACE_BINOMIAL_MAX and pmf.dtype != object
+    if rescale and pmf.shape[-1] == 2:
         return binomial_pmf(count, pmf[..., 1])
     out = None
     while True:
@@ -297,7 +295,7 @@ def _power(pmf: np.ndarray, count: int) -> np.ndarray:
             out = pmf if out is None else _convolve_rows(out, pmf)
         count >>= 1
         if not count:
-            return out
+            return out / out.sum(axis=-1, keepdims=True) if rescale else out
         pmf = _convolve_rows(pmf, pmf)
 
 

@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -23,6 +24,16 @@ def copied(config: MultiplexConfiguration) -> MultiplexConfiguration:
     slots hold one object: what a layout means must not depend on sharing."""
     photons = tuple(Photon(ph.channel_id, ph.carries) for ph in config.photons)
     return replace(config, photons=photons)
+
+
+def check_distribution(dist: engine.LossDistribution, tol: float = 1e-12) -> None:
+    """``ArithmeticError`` unless every pmf entry of ``dist`` is above -1e-15 and
+    every pmf sums to 1 within ``tol``."""
+    total = dist.pmf.sum(axis=-1)
+    if np.any(dist.pmf < -1e-15):
+        raise ArithmeticError("negative pmf entry beyond roundoff")
+    if np.any(abs(total - 1) > tol):
+        raise ArithmeticError(f"pmf sums to {total}, not 1")
 
 
 def enumerate_success(config: MultiplexConfiguration) -> float:
@@ -140,27 +151,93 @@ def pgf_success(survivals, budget: int) -> float:
     return float(pmf[: budget + 1].sum())
 
 
+def _decimal(x) -> Decimal:
+    """A float, taken exactly, or a Fraction, in the current ``decimal`` context."""
+    if isinstance(x, Fraction):
+        return Decimal(x.numerator) / x.denominator
+    return Decimal(x)
+
+
+def _loss_terms(n: int, s: Decimal, upto: int) -> list[Decimal]:
+    """P[Bin(n, 1 - s) = i] for i = 0..min(upto, n) in the current context: term
+    i + 1 is term i times (n - i) / (i + 1) * (1 - s) / s, from s^n at i = 0."""
+    if s == 0:
+        return [Decimal(int(i == n)) for i in range(min(upto, n) + 1)]
+    ratio = (1 - s) / s
+    terms = [s**n]
+    for i in range(min(upto, n)):
+        terms.append(terms[-1] * (n - i) / (i + 1) * ratio)
+    return terms
+
+
 def binomial_tail(n: int, survival, budget: int) -> Decimal:
     """P[Bin(n, 1 - survival) <= budget], the chance that at most ``budget`` of ``n``
     qudits are lost when each survives with ``survival`` (a float, taken exactly, or
     a Fraction), to 50 significant digits.
 
-    Loss term i + 1 is term i times (n - i) / (i + 1) * (1 - s) / s, from s^n at
-    i = 0, summed in ``decimal`` with an exponent range that holds s^n at any n:
-    no logarithm and no binomial coefficient, unlike the engine's two forms."""
+    The loss terms come by their ratio from s^n (:func:`_loss_terms`), summed in
+    ``decimal`` with an exponent range that holds s^n at any n: no logarithm and no
+    binomial coefficient, unlike the engine's two forms."""
     with localcontext(Context(prec=50, Emin=MIN_EMIN, Emax=MAX_EMAX)):
-        if isinstance(survival, Fraction):
-            s = Decimal(survival.numerator) / survival.denominator
-        else:
-            s = Decimal(survival)
-        if s == 0:
-            return Decimal(int(budget >= n))
-        ratio = (1 - s) / s
-        term = total = s**n
-        for i in range(min(budget, n)):
-            term = term * (n - i) / (i + 1) * ratio
-            total += term
-        return total
+        return sum(_loss_terms(n, _decimal(survival), budget), Decimal(0))
+
+
+def two_block_tail(blocks, budget: int) -> Decimal:
+    """P[L_1 + L_2 <= budget] to 50 significant digits, L_i the losses of the two
+    independent ``blocks`` ``(qudits, survival)``: each loss term of the first block
+    times the second block's tail up to the rest of the budget, every term by
+    :func:`_loss_terms`'s ratios."""
+    with localcontext(Context(prec=50, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        (n1, s1), (n2, s2) = blocks
+        tails = list(accumulate(_loss_terms(n2, _decimal(s2), budget)))
+        first = _loss_terms(n1, _decimal(s1), budget)
+        return sum(
+            (x * tails[min(budget - i, len(tails) - 1)] for i, x in enumerate(first)), Decimal(0)
+        )
+
+
+def repeated_cluster_tail(cluster, count: int, singletons: int, survival, budget: int) -> Decimal:
+    """P(at most ``budget`` qudits erased), to 30 digits or better, when ``count``
+    copies of ``cluster`` and ``singletons`` qudits of one photon each are sent, every
+    photon arriving with ``survival`` > 0.  ``cluster`` lists its photons, each as the
+    positions of the cluster qudits it carries.
+
+    The cluster's loss polynomial f comes from its 2^m photon patterns, and f^count
+    by J. C. P. Miller's power-series recurrence, g_0 = f_0^N and
+    m f_0 g_m = sum_{k=1..min(m, deg f)} ((N + 1) k - m) f_k g_(m-k): one pass over
+    the coefficients, no convolution and no powering by squaring, unlike the
+    engine's fold.  Each singleton then multiplies by s + (1 - s) x.  The recurrence
+    subtracts, and can lose a hundred digits over tens of thousands of steps, so it
+    runs at 80, 160 and 320 digits until two runs agree to 1e-30
+    (``ArithmeticError`` if none do)."""
+    previous = None
+    for digits in (80, 160, 320):
+        with localcontext(Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+            value = _miller_tail(cluster, count, singletons, _decimal(survival), budget)
+        if previous is not None and abs(value - previous) <= Decimal("1e-30"):
+            return value
+        previous = value
+    raise ArithmeticError("Miller's recurrence did not settle at 320 digits")
+
+
+def _miller_tail(cluster, count: int, singletons: int, s: Decimal, budget: int) -> Decimal:
+    """:func:`repeated_cluster_tail` at the current ``decimal`` precision."""
+    width = 1 + max(q for photon in cluster for q in photon)
+    f = [Decimal(0)] * (width + 1)
+    for arrived in product((True, False), repeat=len(cluster)):
+        weight = Decimal(1)
+        erased = set()
+        for ok, photon in zip(arrived, cluster):
+            weight *= s if ok else 1 - s
+            erased.update(() if ok else photon)
+        f[len(erased)] += weight
+    g = [f[0] ** count]
+    for m in range(1, min(budget, width * count) + 1):
+        terms = (((count + 1) * k - m) * f[k] * g[m - k] for k in range(1, min(m, width) + 1))
+        g.append(sum(terms, Decimal(0)) / (m * f[0]))
+    for _ in range(singletons):
+        g = [s * x + (1 - s) * y for x, y in zip(g + [Decimal(0)], [Decimal(0)] + g)]
+    return sum(g[: budget + 1], Decimal(0))
 
 
 def chain_loss_pmf(own_survivals, link_arrivals, ring: bool = False) -> np.ndarray:

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import random_configuration
-from oracles import enumerate_success
+from oracles import check_distribution, enumerate_success
 from qnetagg import circuits as qc
 from qnetagg import closed_form, engine, montecarlo, planner
 from qnetagg.model import Channel, QrsCode, shared7_configuration, uniform_configuration
@@ -228,7 +228,7 @@ def test_criterion_10_property_suites():
         for _ in range(50):
             config = random_configuration(rng, max_photons=14)
             dist = engine.loss_distribution(config)
-            dist.check(tol=1e-12)
+            check_distribution(dist, tol=1e-12)
 
         def threshold(f):
             lo, hi = 0.0, 1.0

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_configuration, two_channel_layouts
-from oracles import bernstein_lists, binomial_tail, chain_loss_pmf, enumerate_success
+from oracles import bernstein_lists, binomial_tail, chain_loss_pmf, check_distribution
+from oracles import enumerate_success
 from oracles import pattern_counts
 from oracles import pgf_loss_pmf, pgf_success
-from oracles import polynomial_table
+from oracles import polynomial_table, repeated_cluster_tail
 from oracles import clusters as oracle_clusters
 from qnetagg import closed_form, engine, planner, wiring
 from qnetagg.engine import (
@@ -207,7 +208,7 @@ def test_loss_distribution_normalized(rng):
     for _ in range(40):
         config = random_configuration(rng, max_photons=14)
         dist = loss_distribution(config)
-        dist.check(tol=1e-12)
+        check_distribution(dist, tol=1e-12)
         assert len(dist.pmf) == config.transmitted + 1
         assert dist.offset == config.withheld
 
@@ -419,7 +420,7 @@ def test_array_probabilities_equal_scalar_calls(rng):
     for config in configs:
         grid = {c.id: np.array([rng.uniform(0.05, 1) for _ in range(5)]) for c in config.channels}
         dist = loss_distribution(_at(config, grid))
-        dist.check()
+        check_distribution(dist)
         success = success_probability(_at(config, grid))
         assert dist.pmf.shape == (5, config.transmitted + 1) and success.shape == (5,)
         for g in range(5):
@@ -882,6 +883,41 @@ def test_one_photon_per_qudit_layout_within_1e_13_at_large_d(d):
     config = uniform_configuration(code, code.qubits_per_qudit(), [(Channel("c", grid), d)])
     for s, value in zip(LARGE_D_SURVIVALS, success_probability(config)):
         assert abs(value - float(binomial_tail(d, s, code.tolerance()))) <= 1e-13, s
+
+
+def _paired_layout(d: int, p) -> MultiplexConfiguration:
+    """(d - 1) / 2 two-qudit clusters of 16 qubits a qudit, each a shared photon
+    and one own photon per qudit, and a last qudit of one photon."""
+    photons = []
+    for i in range(0, d - 1, 2):
+        photons += [Photon("c", ((i, 8), (i + 1, 8))), Photon("c", ((i, 8),))]
+        photons.append(Photon("c", ((i + 1, 8),)))
+    photons.append(Photon("c", ((d - 1, 16),)))
+    return MultiplexConfiguration(QrsCode(d, (d + 1) // 2), (Channel("c", p),), photons)
+
+
+PAIR = [(0, 1), (0,), (1,)]  # the cluster's photons by the positions of their qudits
+
+
+@pytest.mark.parametrize("d,p", [(65521, 0.985), (65521, 0.99)])
+def test_repeated_multi_qudit_clusters_within_1e_12_at_max_d(d, p):
+    # 32760 powered two-qudit clusters, their mass drifting about 3.8e-17 a qudit unless
+    # rescaled: P_S came out 1 + 1.7e-12 (ArithmeticError) at 0.985 and 2.5e-12 low at 0.99
+    config = _paired_layout(d, p)
+    want = float(repeated_cluster_tail(PAIR, (d - 1) // 2, 1, p, config.code.tolerance()))
+    assert abs(success_probability(config) - want) <= 1e-12
+
+
+def test_rescaled_power_takes_arrays_entry_by_entry():
+    # 16385 two-qudit clusters (1.24e-12 low at p = 0.99 unrescaled); an array entry
+    # equals its scalar evaluation bit for bit
+    grid = np.array([0.7071, 0.99])
+    config = _paired_layout(32771, grid)
+    values = success_probability(config)
+    for s, value in zip(grid, values):
+        assert value == success_probability(_paired_layout(32771, float(s)))
+        want = float(repeated_cluster_tail(PAIR, 16385, 1, float(s), config.code.tolerance()))
+        assert abs(value - want) <= 1e-12
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 3])

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import bisect_60, enumerate_success, exhaustive_allocation, pgf_success
+from oracles import two_block_tail
 from qnetagg import closed_form, engine, planner
 from qnetagg.model import (
     Channel,
@@ -16,6 +18,7 @@ from qnetagg.model import (
     uniform_configuration,
 )
 from qnetagg.planner import (
+    RESIDUAL_BOUND,
     AllocationProblem,
     ChannelSpec,
     EmptyCurve,
@@ -531,6 +534,68 @@ def test_large_code_sweep_is_finite_and_monotone():
     assert all(a >= b - 1e-9 for a, b in zip(p1s, p1s[1:]))
     p2, p1 = curve.points[0]
     assert abs(_block_value(code, 1, 600, p1, p2) - 0.995) <= 1e-9
+
+
+MAX_PRIME_CODE = QrsCode(65521, 32761)  # the largest prime d within model.MAX_D
+
+
+def _traced(call):
+    """``call()`` and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_at_the_largest_prime_code():
+    # one photon a qudit at q = 16: every solved point within the residual bound of a
+    # 50-digit two-block tail, and exactly the points where p1 = 1 falls short infeasible
+    n, grid = 20000, [0.284, 0.285, 0.286, 0.287, 0.288]
+    scenario = planner.two_channel_scenario(MAX_PRIME_CODE, 16, n)
+    curve, peak = _traced(lambda: sweep_curve(scenario, grid))
+    assert peak < 8 * 2**20  # 3.2 MiB measured
+
+    def oracle(p1, p2):
+        return float(two_block_tail(((n, p1), (65521 - n, p2)), 32760))
+
+    assert curve.infeasible == tuple(p2 for p2 in grid if oracle(1.0, p2) < 0.995)
+    assert [p2 for p2, _ in curve.points] == [0.286, 0.287, 0.288]
+    for p2, p1 in curve.points:
+        assert abs(oracle(p1, p2) - 0.995) <= RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize(
+    "channels,split,evaluations,peak_mib",
+    [
+        ((ChannelSpec("a", 0.52, 70000),), (65521,), 1, 12),  # 4.8 MiB measured
+        ((ChannelSpec("b", 0.6, 100), ChannelSpec("a", 0.505, 65521)), (22, 65499), 24, 80),
+    ],
+    ids=["one-channel", "two-channel"],
+)
+def test_allocate_at_the_largest_prime_code(channels, split, evaluations, peak_mib, monkeypatch):
+    # achieved within 1e-12 of a 50-digit tail, and one qudit fewer in the better
+    # channel short of the target by it; the two-channel search tries b = 0..22, and
+    # its peak, 38 MiB measured, is the cached binomial row of each a block, 1.5 MiB apiece
+    problem = AllocationProblem(channels, (MAX_PRIME_CODE,), 16)
+    calls = []
+    evaluate = engine.block_success
+
+    def counted(code, blocks):
+        calls.append(code)
+        return evaluate(code, blocks)
+
+    def oracle(counts):
+        blocks = [(count, ch.p) for ch, count in zip(channels, counts)]
+        return float(two_block_tail((blocks + [(0, 1.0)])[:2], 32760))
+
+    monkeypatch.setattr(engine, "block_success", counted)
+    result, peak = _traced(lambda: allocate(problem))
+    assert peak < peak_mib * 2**20
+    assert result.split == split and len(calls) == evaluations
+    assert abs(result.achieved - oracle(split)) <= 1e-12
+    if len(split) == 2:
+        assert oracle((split[0] - 1, split[1] + 1)) < 0.995 <= oracle(split)
 
 
 # --- allocation input -----------------------------------------------------------------
