@@ -26,9 +26,9 @@ d = 65521.
 
 ``ps6`` and ``ps15`` also take numpy arrays of probabilities; the binomial
 tails raise :class:`~qnetagg.model.ArrayProbability` for one.  Inputs and
-results follow the rules of :mod:`model`: every code passes ``check_code``,
-every probability argument ``check_probability`` and every return value
-``clamp_roundoff``.
+results follow the rules of :mod:`model`: every code passes ``check_code``, the
+withheld count ``withheld_violations`` and n ``check_counts``, every probability
+argument ``check_probability`` and every return value ``clamp_roundoff``.
 """
 
 from __future__ import annotations
@@ -40,15 +40,11 @@ from math import comb, exp, log
 import numpy as np
 
 from .model import (
-    ArrayProbability, QrsCode, check_code, check_int, check_probability, clamp_roundoff,
-    photons_per_qudit,
+    ArrayProbability, QrsCode, check_code, check_counts, check_int, check_probability,
+    clamp_roundoff, photons_per_qudit, withheld_violations,
 )
 
 FLOAT_BLOCK_MAX = 4099  # most qudits a float binomial tail sums over (module docstring)
-
-
-class WithheldExceedsTolerance(ValueError):
-    """More withheld qudits than the code can absorb."""
 
 
 class FloatBlockTooLarge(ValueError):
@@ -133,12 +129,8 @@ def ps_single_withheld(code: QrsCode, q: int, p, withheld: int):
     """
     check_code(code)
     check_probability("p", p)
-    if check_int("withheld", withheld) < 0:
-        raise ValueError("withheld must be non-negative")
-    if withheld > code.tolerance():
-        raise WithheldExceedsTolerance(
-            f"withheld={withheld} exceeds tolerance {code.tolerance()}"
-        )
+    for violation in withheld_violations(code, check_int("withheld", withheld)):
+        raise ValueError(str(violation))
     block = (code.d - withheld, qudit_survival(code, q, p))
     return _tail(code.tolerance() - withheld, block)
 
@@ -156,8 +148,7 @@ def ps_two_channel(code: QrsCode, q: int, n: int, p_a, p_b):
     check_code(code)
     check_probability("p_a", p_a)
     check_probability("p_b", p_b)
-    if not (0 <= check_int("n", n) <= code.d):
-        raise ValueError(f"n={n} outside 0..{code.d}")
+    (n,) = check_counts(code, [n], "n")
     blocks = (n, qudit_survival(code, q, p_b)), (code.d - n, qudit_survival(code, q, p_a))
     return _tail(code.tolerance(), *blocks)
 

@@ -34,10 +34,10 @@ float convolutions drift in mass, 3.8e-17 a qudit in two-qudit clusters at p = 0
 so a float group of more multi-qudit clusters is divided by its sum once powered:
 P_S within 2.3e-15 of a power-series oracle at d = 32771 and 65521.
 :func:`binomial_pmf` forms every float binomial block from one cached
-:func:`_binomial_row` per n: up to that size the row holds log C(n, i) and the
-pmf is computed in log space, so it stays finite at any d; its three logs grow
-with n and cancel, so above it the row holds Loader's stirlerr part and the pmf
-takes Loader's saddle-point form, within 1e-14 of a 50-digit sum up to d = 65521.
+:func:`_binomial_row` per n (the last 32 kept): up to that size the row holds log
+C(n, i) and the pmf is computed in log space, so it stays finite at any d; its three
+logs grow with n and cancel, so above it the row holds Loader's stirlerr part and the
+pmf takes Loader's saddle-point form, within 1e-14 of a 50-digit sum up to d = 65521.
 Survivals may be numpy arrays, which lets the planner evaluate a whole grid
 of channel qualities in one call; :func:`block_evaluator` builds all blocks
 but one once, for a caller that varies one block.
@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    MultiplexConfiguration, QrsCode, check_code, check_int, check_probability,
+    MultiplexConfiguration, QrsCode, check_code, check_counts, check_probability,
     check_scalar_channels, clamp_roundoff, validate,
 )
 
@@ -425,7 +425,7 @@ def _stirlerr(k):
     return np.where(k > 15, series, _STIRLERR_SMALL[np.minimum(k, 15)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a plan round reads 25 rows; a row near MAX_D holds ~1.5 MiB
 def _binomial_row(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(i, n - i, c)`` for i = 0..n: c is the part of
     :func:`binomial_pmf`'s log term that does not depend on the loss probability.
@@ -543,18 +543,13 @@ def block_evaluator(code: QrsCode, fixed, count: int):
     ``count`` qudits, its survival unchecked.  The code and the ``fixed``
     blocks are checked and convolved once, and the CDF entries the tail
     sum_i pmf[i] * CDF[budget - i] reads are gathered once; a call forms only the
-    pmf terms i = 0..min(budget, count) that the tail reads.  ``ValueError``
-    names a block whose count is negative or brings the total above d,
-    ``TypeError`` one whose count is a bool or not an integer."""
+    pmf terms i = 0..min(budget, count) that the tail reads.  The counts, all
+    ``count`` included, follow :func:`~qnetagg.model.check_counts`."""
     check_code(code)
     for _, survival in fixed:
         check_probability("survival", survival)
-    counts = []  # as Python ints: a numpy count would overflow _binomial_row's integers
-    for n in [n for n, _ in fixed] + [count]:
-        counts.append(check_int("block count", n))
-        if n < 0 or sum(counts) > code.d:
-            raise ValueError(f"block of {n} qudits: counts must be >= 0 and total <= d={code.d}")
-    *sizes, count = counts
+    # as Python ints: a numpy count would overflow _binomial_row's integers
+    *sizes, count = check_counts(code, [n for n, _ in fixed] + [count], "block count")
     budget = code.tolerance()
     pmfs = [binomial_pmf(n, 1 - P) for n, (_, P) in zip(sizes, fixed) if n]
     cdf = np.cumsum(reduce(_convolve_rows, pmfs), axis=-1) if pmfs else np.ones(1, dtype=int)

@@ -7,8 +7,9 @@ qudit it carries a qubit of.  A configuration records which photon carries
 which qubits and which channel each photon travels through.
 
 The input and result rules of every module live here: :func:`check_int`,
-:func:`check_code`, :func:`check_probability` and
-:func:`check_scalar_channels` for inputs, :func:`clamp_roundoff` for results.
+:func:`check_code`, :func:`withheld_violations`, :func:`check_counts`,
+:func:`check_probability` and :func:`check_scalar_channels` for inputs,
+:func:`clamp_roundoff` for results.
 
 All types are immutable; instances can be shared freely between threads.
 """
@@ -186,6 +187,30 @@ def check_code(code: QrsCode) -> None:
         raise ValueError(f"code d={code.d} k={code.k}: {violations[0]}")
 
 
+def withheld_violations(code: QrsCode, withheld: int) -> list[Violation]:
+    """``[violation]`` for a ``withheld`` count outside 0..tolerance, else ``[]``."""
+    if withheld < 0:
+        return [Violation("withheld-exceeds-tolerance", "withheld count is negative")]
+    if withheld > code.tolerance():
+        message = f"withheld={withheld} exceeds tolerance {code.tolerance()}"
+        return [Violation("withheld-exceeds-tolerance", message)]
+    return []
+
+
+def check_counts(code: QrsCode, counts, name: str) -> list[int]:
+    """``counts``, qudits in consecutive blocks, as Python ints.  ``TypeError`` by
+    :func:`check_int` naming ``name``, ``ValueError`` naming the first count that
+    is negative or brings the running total above d."""
+    out, total = [], 0
+    for n in counts:
+        n = check_int(name, n)
+        total += n
+        if n < 0 or total > code.d:
+            raise ValueError(f"block of {n} qudits: counts must be >= 0 and total <= d={code.d}")
+        out.append(n)
+    return out
+
+
 @dataclass(frozen=True)
 class Channel:
     """A lossy channel: photons arrive with probability ``p``, a float, a Fraction
@@ -265,15 +290,7 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
         return out
     per_qudit = config.code.qubits_per_qudit()
 
-    if config.withheld < 0:
-        out.append(Violation("withheld-exceeds-tolerance", "withheld count is negative"))
-    elif config.withheld > config.code.tolerance():
-        out.append(
-            Violation(
-                "withheld-exceeds-tolerance",
-                f"withheld={config.withheld} exceeds tolerance {config.code.tolerance()}",
-            )
-        )
+    out += withheld_violations(config.code, config.withheld)
 
     ids = [ch.id for ch in config.channels]
     dup = {i for i in ids if ids.count(i) > 1}
@@ -366,14 +383,14 @@ def uniform_configuration(
     Each qudit is carried by exactly ``ceil(qubits_per_qudit / q)`` photons,
     all in that qudit's channel; the last photon of a qudit may carry fewer
     than ``q`` qubits so the per-qudit total is exact.  ``split`` assigns
-    consecutive qudit blocks to channels and must cover all ``d - withheld``
-    transmitted qudits.  A qudit's photons of one qubit count are one object,
-    repeated in each of their slots: photons are immutable, and which equal
-    photons are one object means nothing.
+    consecutive qudit blocks to channels (counts by :func:`check_counts`) and must
+    cover all ``d - withheld`` transmitted qudits, else :class:`SplitMismatch`.  A
+    qudit's photons of one qubit count are one object, repeated in each of their
+    slots: photons are immutable, and which equal photons are one object means nothing.
     """
     m = photons_per_qudit(code, q)
     sent = code.d - withheld
-    total = sum(check_int("split count", count) for _, count in split)
+    total = sum(check_counts(code, [count for _, count in split], "split count"))
     if total != sent:
         raise SplitMismatch(f"split covers {total} qudits, expected {sent}")
     sizes = [q] * (m - 1) + [code.qubits_per_qudit() - q * (m - 1)]

@@ -7,9 +7,9 @@ each driven by its own counter-based Philox stream derived from
 ``(seed, chunk index)`` (Salmon et al., SC'11), so the estimate is
 reproducible bit for bit.  :func:`estimate` shares the chunks among
 W = min(CPUs the process may use, chunks) threads: the calling thread takes
-chunks 0, W, 2W, ... and W - 1 pool threads take the others.  The integer
-success counts add up to the same total in any order, so the estimate is
-the same for every W.
+chunks 0, W, 2W, ... and W - 1 pool threads, started as their shares are
+submitted (none for W = 1), take the others.  The integer success counts add
+up to the same total in any order, so the estimate is the same for every W.
 
 Trials draw one word per *unit*, not per photon.  A qudit's private group
 (all its photons that carry no other qudit) is one unit: those photons
@@ -143,14 +143,11 @@ def estimate(config: MultiplexConfiguration, samples: int, seed: int = 0) -> McE
     def share(first: int) -> int:
         return sum(chunk_successes(i) for i in range(first, chunks, workers))
 
-    if workers == 1:
-        successes = share(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(share, w) for w in range(1, workers)]
-            successes = share(0) + sum(f.result() for f in futures)
+    with ThreadPoolExecutor(workers) as pool:  # max_workers=0 would raise for one chunk
+        futures = [pool.submit(share, w) for w in range(1, workers)]
+        successes = share(0) + sum(f.result() for f in futures)
 
     mean = successes / samples
     return McEstimate(

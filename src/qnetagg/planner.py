@@ -44,7 +44,7 @@ import numpy as np
 
 from . import closed_form, engine
 from .model import (
-    QrsCode, check_code, check_int, check_probability, clamp_roundoff, photons_per_qudit,
+    QrsCode, check_code, check_counts, check_probability, clamp_roundoff, photons_per_qudit,
     read_object, shared7_configuration,
 )
 
@@ -102,11 +102,10 @@ def single_channel_scenario(code: QrsCode, q: int) -> Scenario:
 
 def two_channel_scenario(code: QrsCode, q: int, n: int) -> Scenario:
     """n qudits in the adjustable channel, d - n in the reference channel.
-    Raises ``ValueError`` for an invalid code or ``n`` outside 0..d,
-    ``TypeError`` for an ``n`` or ``q`` that is a bool or not an integer."""
+    Raises ``ValueError`` for an invalid code or ``n`` outside 0..d (by
+    ``check_counts``), ``TypeError`` for an ``n`` or ``q`` that is not an integer."""
     check_code(code)
-    if not (0 <= check_int("n", n) <= code.d):
-        raise ValueError(f"n={n} outside 0..{code.d}")
+    (n,) = check_counts(code, [n], "n")
     m = photons_per_qudit(code, q)
     d = code.d
 

@@ -221,6 +221,14 @@ def test_allocate_at_the_largest_prime_code(tmp_path):
     assert abs(report["achieved"] - float(binomial_tail(65521, 0.52, 32760))) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [8, -1], ids=["above-d", "negative"])
+def test_sweep_n_outside_the_code_exit_2(n):
+    result = run_cli(["sweep", "--d", "7", "--k", "4", "--n", str(n)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"sweep: block of {n} qudits: counts must be >= 0 and total <= d=7\n"
+
+
 def test_sweep_without_layout_exit_2():
     result = run_cli(["sweep", "--d", "43", "--k", "22"])
     assert result.returncode == 2

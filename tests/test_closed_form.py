@@ -14,7 +14,6 @@ from qnetagg import closed_form
 from qnetagg.closed_form import (
     FLOAT_BLOCK_MAX,
     FloatBlockTooLarge,
-    WithheldExceedsTolerance,
     ps6,
     ps15,
     ps_single,
@@ -100,8 +99,11 @@ def test_withheld_threshold_above_smaller_code():
 
 
 def test_withheld_rejects_excess():
-    with pytest.raises(WithheldExceedsTolerance):
-        ps_single_withheld(QrsCode(7, 4), 1, 0.9, 4)
+    # the rule validate reports, raised with its message
+    cases = [(4, "withheld=4 exceeds tolerance 3"), (-1, "withheld count is negative")]
+    for withheld, message in cases:
+        with pytest.raises(ValueError, match=f"^withheld-exceeds-tolerance: {message}$"):
+            ps_single_withheld(QrsCode(7, 4), 1, 0.9, withheld)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +121,7 @@ def test_closed_forms_reject_invalid_codes(code, named):
     ):
         with pytest.raises(ValueError, match=named) as caught:
             call()
-        assert not isinstance(caught.value, WithheldExceedsTolerance)
+        assert "withheld" not in str(caught.value)
 
 
 @pytest.mark.parametrize(

@@ -389,6 +389,7 @@ def test_exact_rational_mode(rng):
 
 
 def test_brute_force_fraction_is_exact(rng):
+    # seeded layouts of one to three channels, which two_channel_layouts does not draw
     for _ in range(5):
         config = random_configuration(rng, max_photons=10)
         channels = tuple(
@@ -738,6 +739,15 @@ def test_block_success_fraction_is_exact():
     assert two == pytest.approx(block_success(code, [(3, 0.96**3), (4, 0.9**3)]), abs=1e-15)
 
 
+def test_binomial_rows_cache_is_bounded():
+    # a row near MAX_D holds ~1.5 MiB, so a caller sweeping n must not keep them all
+    bound = engine._binomial_row.cache_info().maxsize
+    assert bound is not None
+    for n in range(1, 2 * bound + 1):
+        binomial_pmf(n, 0.5)
+    assert engine._binomial_row.cache_info().currsize == bound
+
+
 def test_binomial_pmf_exact_at_zero_and_one():
     for n in (1, 5, 211, 2003):
         assert binomial_pmf(n, 0.0).tolist() == [1.0] + [0.0] * n
@@ -1084,6 +1094,20 @@ def test_a_third_channel_at_the_same_p_leaves_the_distribution_exact(config, p1,
     dist = loss_distribution(config)
     assert dist.pmf.dtype == object
     assert loss_distribution(twin) == dist
+
+
+@settings(max_examples=150)
+@given(
+    two_channel_layouts(),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=12),
+)
+def test_brute_force_equals_the_walk(config, p1, p2):
+    # one flat enumeration of every photon pattern against the clustered walk and fold
+    config = with_probabilities(config, p1, p2)
+    value = success_probability(config)
+    assert isinstance(value, Fraction)
+    assert brute_force(config) == value
 
 
 @settings(max_examples=150)

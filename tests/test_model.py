@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qnetagg.closed_form import ps_two_channel
 from qnetagg.engine import block_evaluator, block_success
 from qnetagg.model import (
     Channel,
@@ -24,6 +25,7 @@ from qnetagg.model import (
     uniform_configuration,
     validate,
     violations,
+    withheld_violations,
 )
 from qnetagg.planner import two_channel_scenario
 
@@ -165,6 +167,31 @@ def test_uniform_configuration_split_mismatch():
 
 
 @pytest.mark.parametrize(
+    "make, count",
+    [
+        # splits that total d, so no SplitMismatch: without the count rule they
+        # built photons for qudits 0..8 and failed only at evaluation
+        (lambda: uniform_configuration(QrsCode(7, 4), 1, [(CH, -2), (CH2, 9)]), -2),
+        (lambda: uniform_configuration(QrsCode(7, 4), 1, [(CH, 9), (CH2, -2)]), 9),
+        (lambda: two_channel_scenario(QrsCode(7, 4), 1, 8), 8),
+        (lambda: two_channel_scenario(QrsCode(7, 4), 1, -1), -1),
+        (lambda: ps_two_channel(QrsCode(7, 4), 1, 8, 0.9, 0.9), 8),
+        (lambda: ps_two_channel(QrsCode(7, 4), 1, -1, 0.9, 0.9), -1),
+    ],
+    ids=[
+        "negative-split", "split-above-d", "scenario-n-above-d", "negative-scenario-n",
+        "closed-form-n-above-d", "negative-closed-form-n",
+    ],
+)
+def test_every_count_takes_one_rule(make, count):
+    # block_success's message (test_engine) at every entry point, naming the first
+    # count that breaks the rule
+    message = rf"^block of {count} qudits: counts must be >= 0 and total <= d=7$"
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
     "carries",
     [((0.7, 3),), (("2", 3),), ((2, 3.0),)],
     ids=["float-qudit", "str-qudit", "float-count"],
@@ -237,6 +264,14 @@ def test_uniform_configuration_photon_lists():
     expected += [Photon("b", ((i, n),)) for i in range(100, 205) for n in (3, 3, 2)]
     assert config.photons == tuple(expected)
     validate(config)
+
+
+@pytest.mark.parametrize("withheld, admitted", [(-1, False), (0, True), (3, True), (4, False)])
+def test_withheld_rule_admits_zero_to_tolerance(withheld, admitted):
+    # tolerance 3: validate and ps_single_withheld apply this one rule
+    report = withheld_violations(QrsCode(7, 4), withheld)
+    assert (report == []) == admitted
+    assert all(v.kind == "withheld-exceeds-tolerance" for v in report)
 
 
 def test_uniform_configuration_withheld():

@@ -375,6 +375,19 @@ def test_memory_of_an_estimate_does_not_grow_with_the_layout():
     assert peaks[1] < (4 * montecarlo.MAX_BLOCK_ROWS + 32) * samples
 
 
+def test_estimate_at_the_largest_prime_code():
+    # d = 65521, the largest prime within MAX_D: 65521 one-unit qudits in two
+    # channels, so no row stays open across units.  Untraced, as tracemalloc
+    # slows this call from ~1.2 s to ~6.5 s.
+    code = QrsCode(65521, 32761)
+    split = [(Channel("a", 0.9575), 32760), (Channel("b", 0.9577), 32761)]
+    est = montecarlo.estimate(uniform_configuration(code, 1, split), 1 << 12, seed=5)
+    exact = engine.block_success(code, [(32760, 0.9575**16), (32761, 0.9577**16)])
+    assert 0.4 < exact < 0.6
+    assert est.agrees_with(exact, sigmas=4)
+    assert round(est.mean * est.samples) == 2034
+
+
 def test_importing_qnetagg_imports_no_thread_pool():
     # concurrent.futures costs ~3 ms to import, which every CLI run would pay
     env = dict(os.environ)

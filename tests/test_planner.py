@@ -576,7 +576,8 @@ def test_sweep_at_the_largest_prime_code():
 def test_allocate_at_the_largest_prime_code(channels, split, evaluations, peak_mib, monkeypatch):
     # achieved within 1e-12 of a 50-digit tail, and one qudit fewer in the better
     # channel short of the target by it; the two-channel search tries b = 0..22, and
-    # its peak, 38 MiB measured, is the cached binomial row of each a block, 1.5 MiB apiece
+    # its peak, 29 MiB measured, is the cached binomial rows of the a blocks, 1.5 MiB
+    # apiece, at most 32 of them kept
     problem = AllocationProblem(channels, (MAX_PRIME_CODE,), 16)
     calls = []
     evaluate = engine.block_success
