@@ -362,6 +362,7 @@ def test_memory_of_an_estimate_does_not_grow_with_the_layout():
     # at d = 211 and at d = 2003 (uncapped, 212 and 2004 rows), beside a few rows of
     # one or two bytes a trial and the units' Python objects (~160 bytes each)
     samples = montecarlo.CHUNK // 2
+    montecarlo.estimate(_uniform(211, 0.95), samples, seed=1)  # imports the pool first
     peaks = []
     for d in (211, 2003):
         config = _uniform(d, 0.95)

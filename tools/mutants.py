@@ -1,12 +1,10 @@
-"""Mutation runner: every listed mutant of ``src/qnetagg`` must fail the tests named for it.
+"""Mutation runner: every listed mutant of ``src/qnetagg`` must be killed by the tests.
 
 Usage, from any directory::
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py NAME ...   # the named mutants
-    python tools/mutants.py --list     # names, modules and tests
+    python tools/mutants.py
 
-First the named tests of the chosen mutants run once on an unchanged copy, and must
+First the named tests of every mutant run once on an unchanged copy, and must
 pass there.  Then, for each mutant, ``src/``, ``tests/``, ``demos/``, ``pyproject.toml``
 and ``README.md`` are copied to a temporary directory (so the CLI and demo
 subprocesses of the tests import the copy too), the mutant's exact old text in its
@@ -18,7 +16,6 @@ moves the text updates this list.  It needs the standard library and pytest only
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -141,31 +138,18 @@ def run_mutant(mutant: Mutant) -> bool:
     return not passed
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    args = parser.parse_args(argv)
-    by_name = {mutant.name: mutant for mutant in MUTANTS}
-    unknown = [name for name in args.names if name not in by_name]
-    if unknown:
-        parser.error(f"unknown mutant {unknown[0]!r}")
-    chosen = [by_name[name] for name in args.names] or list(MUTANTS)
-    if args.list:
-        for mutant in chosen:
-            print(f"{mutant.name}  {mutant.module}  {' '.join(mutant.tests)}")
-        return 0
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy_tree(Path(tmp))
-        tests = sorted({test for mutant in chosen for test in mutant.tests})
+        tests = sorted({test for mutant in MUTANTS for test in mutant.tests})
         passed, failure = run_pytest(Path(tmp), tests)
     if not passed:
         print(f"the named tests fail without a mutant: {failure}")
         return 1
-    killed = sum(run_mutant(mutant) for mutant in chosen)
-    print(f"{killed} of {len(chosen)} mutants killed in {time.perf_counter() - start:.1f} s")
-    return 0 if killed == len(chosen) else 1
+    killed = sum(run_mutant(mutant) for mutant in MUTANTS)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
