@@ -5,15 +5,18 @@ The photon-qudit incidence graph splits into connected components
 packet-level loss distribution is the convolution of per-cluster
 distributions; withheld qudits add a deterministic offset.
 
-The pass that groups a cluster's photons also builds its signature: per
-photon, its channel and its qudits by position in the cluster.  Each cluster
-is evaluated exactly by one walk over its signature (frontier-based
-reliability, a form of bucket elimination), and one
-:func:`loss_distribution` call groups the clusters by signature: clusters of
+One pass over the runs of one photon object in consecutive slots groups the
+photons into clusters and builds each cluster's signature: per photon, its
+channel and its qudits by position in the cluster, run-length coded with equal
+neighbouring entries merged, so equal signatures code alike whichever equal
+photons are one object.  Each cluster is evaluated exactly by one walk over its
+signature (frontier-based reliability, a form of bucket elimination), and one
+:func:`loss_distribution` call groups the clusters by that code: clusters of
 one shape on the same channels, such as the singleton qudits of a uniform
-layout, are one group, walked once, whose pmf is raised to the group's count
-by binary powering, or is a binomial block (below).  Photons are taken
-greedily, next the one sharing the most qudits with those already touched.
+layout, are one group.  Only the group's first cluster is built as a
+:class:`Cluster` and walked, once, and its pmf is raised to the group's count by
+binary powering, or is a binomial block (below).  Photons are taken greedily,
+next the one sharing the most qudits with those already touched.
 A qudit is open from its first photon to its last; a state is the
 set of open qudits already erased and carries the pmf of the erased count
 among closed qudits.  The cost follows the number of states, not 2^photons:
@@ -62,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb, log, pi, sqrt
 from typing import NamedTuple
 
@@ -70,7 +73,7 @@ import numpy as np
 
 from .model import (
     MultiplexConfiguration, QrsCode, check_code, check_counts, check_probability,
-    check_scalar_channels, clamp_roundoff, validate,
+    check_scalar_channels, clamp_roundoff, run_starts, validate,
 )
 
 CLUSTER_STATE_BITS = 16
@@ -128,15 +131,20 @@ class LossDistribution:
         return np.cumsum(self.pmf[..., : upto + 1], axis=-1)[..., -1][()]
 
 
-def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
-    """Connected components and their signatures, by smallest member qudit.
+def _components(config: MultiplexConfiguration) -> list[tuple[list, list, list]]:
+    """Connected components by smallest member qudit, as ``(runs, qudits, code)``, from
+    one pass over the runs of one photon object (:func:`~qnetagg.model.run_starts`).
 
-    Validates ``config`` first (:class:`~qnetagg.model.InvalidConfiguration`).
-    Each photon's ``carries`` is read once, and only photons of two or more
-    qudits join components.  A photon that is the very object before it takes
-    that photon's signature entry, the same tuple, in the same cluster."""
+    ``runs`` holds the component's runs as flat ``first, end`` slot pairs and
+    ``code`` its signature run-length coded, as flat ``entry, repeats`` pairs with
+    equal neighbouring entries merged, so equal signatures code alike whichever
+    equal photons are one object.  Validates ``config`` first
+    (:class:`~qnetagg.model.InvalidConfiguration`).  Each run's ``carries`` is read
+    once, and only photons of two or more qudits join components."""
     validate(config)
-    carries = [ph.carries for ph in config.photons]
+    photons = config.photons
+    starts = run_starts(photons)
+    carries = [photons[i].carries for i in starts]
     parent = list(range(config.transmitted))
 
     def find(a: int) -> int:
@@ -156,29 +164,40 @@ def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
             for other, _ in rest:
                 union(first, other)
 
-    clusters: dict[int, tuple[list, list, list]] = {}  # root: photons, qudits, signature
-    home, position = [], []  # per qudit: its cluster's lists, its position in them
+    components: dict[int, tuple[list, list, list]] = {}  # root: runs, qudits, code
+    home, position = [], []  # per qudit: its component, its position in it
     for qudit in range(config.transmitted):
-        members = clusters.setdefault(find(qudit), ([], [], []))
+        members = components.setdefault(find(qudit), ([], [], []))
         home.append(members)
         position.append((len(members[1]),))
         members[1].append(qudit)
-    previous = None
-    for idx, (ph, held) in enumerate(zip(config.photons, carries)):
-        if ph is previous:  # the same object again: its cluster's last entry again
-            photons.append(idx)
-            signature.append(signature[-1])
-            continue
-        previous = ph
-        first = held[0][0]
-        photons, _, signature = home[first]
-        photons.append(idx)
+    for first, end, held in zip(starts, [*starts[1:], len(photons)], carries):
+        qudit, channel = held[0][0], photons[first].channel_id
+        runs, _, code = home[qudit]
+        runs += first, end
         if len(held) == 1:  # a single-qudit photon reuses its qudit's ``(position,)``
-            signature.append((ph.channel_id, position[first]))
+            entry = (channel, position[qudit])
         else:
-            signature.append((ph.channel_id, tuple([position[q][0] for q, _ in held])))
+            entry = (channel, tuple([position[q][0] for q, _ in held]))
+        if code and code[-2] == entry:
+            code[-1] += end - first
+        else:
+            code += entry, end - first
     # a root is its component's smallest qudit, met first in qudit order, so the roots ascend
-    return [Cluster(tuple(p), tuple(q), tuple(s)) for p, q, s in clusters.values()]
+    return list(components.values())
+
+
+def _cluster(runs: list, qudits: list, code: list) -> Cluster:
+    """The :class:`Cluster` of a :func:`_components` entry, every run and repeat expanded."""
+    photons = chain.from_iterable(map(range, runs[::2], runs[1::2]))
+    signature = chain.from_iterable(map(repeat, code[::2], code[1::2]))
+    return Cluster(tuple(photons), tuple(qudits), tuple(signature))
+
+
+def cluster_decompose(config: MultiplexConfiguration) -> list[Cluster]:
+    """Connected components and their signatures, by smallest member qudit; validates
+    ``config`` first (:class:`~qnetagg.model.InvalidConfiguration`)."""
+    return [_cluster(*component) for component in _components(config)]
 
 
 def _photon_order(qudits: list[tuple[int, ...]]) -> list[int]:
@@ -268,14 +287,15 @@ def cluster_loss_pmf(cluster: Cluster, config: MultiplexConfiguration) -> np.nda
 
 
 def _fold(config: MultiplexConfiguration, walk) -> np.ndarray:
-    """The pmf of erased transmitted qudits.  The clusters are grouped by
-    :attr:`Cluster.signature` in order of first appearance; ``walk`` of each group's
-    first cluster is raised to the group's count (:func:`_power`), and the groups'
-    pmfs are convolved in that order.  :func:`cluster_decompose` validates."""
-    groups: dict[tuple, list] = {}  # signature: [first cluster, count]
-    for cluster in cluster_decompose(config):
-        groups.setdefault(cluster.signature, [cluster, 0])[1] += 1
-    return reduce(_convolve_rows, [_power(walk(first), count) for first, count in groups.values()])
+    """The pmf of erased transmitted qudits.  The components are grouped by signature
+    code (:func:`_components`) in order of first appearance; ``walk`` of each group's
+    first :class:`Cluster` is raised to the group's count (:func:`_power`), and the
+    groups' pmfs are convolved in that order.  :func:`_components` validates."""
+    groups: dict[tuple, list] = {}  # signature code: [first component, count]
+    for component in _components(config):
+        groups.setdefault(tuple(component[2]), [component, 0])[1] += 1
+    pmfs = [_power(walk(_cluster(*first)), count) for first, count in groups.values()]
+    return reduce(_convolve_rows, pmfs)
 
 
 def _power(pmf: np.ndarray, count: int) -> np.ndarray:
@@ -300,7 +320,7 @@ def _power(pmf: np.ndarray, count: int) -> np.ndarray:
 
 
 def loss_distribution(config: MultiplexConfiguration) -> LossDistribution:
-    """Exact distribution of erased qudits; :func:`cluster_decompose` validates."""
+    """Exact distribution of erased qudits; ``config`` is validated first."""
     pmf = _fold(config, lambda cluster: cluster_loss_pmf(cluster, config))
     return LossDistribution(pmf, offset=config.withheld)
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, compress, count
 from numbers import Integral
-from operator import index
+from operator import index, is_not
 from typing import Sequence
 
 import numpy as np
@@ -278,12 +279,50 @@ class MultiplexConfiguration:
         return [by_id[ph.channel_id] for ph in self.photons]
 
 
+def run_starts(photons: Sequence[Photon]) -> list[int]:
+    """The first slot of each run of one photon object in consecutive slots: each
+    slot whose photon is not the very object before it, in ascending order."""
+    return list(compress(count(), map(is_not, photons, chain((None,), photons))))
+
+
+def _photon_violations(ph: Photon, idx: int, known: set, transmitted: int) -> list[Violation]:
+    """The rules photon ``ph`` breaks in slot ``idx``."""
+    out = []
+    if ph.channel_id not in known:
+        message = f"photon {idx} uses channel {ph.channel_id!r}"
+        out.append(Violation("unknown-channel", message, idx))
+    mark, degree = len(out), 0  # summed here: the ``degree`` property re-sums per read
+    seen = set() if len(ph.carries) > 1 else None  # one carry repeats no qudit
+    for qudit, n in ph.carries:
+        degree += n
+        if n < 1:
+            out.append(Violation("bad-qubit-count", f"photon {idx}: qubit count {n} < 1", idx))
+        if seen is not None:
+            if qudit in seen:
+                out.append(
+                    Violation("duplicate-qudit", f"photon {idx} lists qudit {qudit} twice", idx)
+                )
+            seen.add(qudit)
+        if not (0 <= qudit < transmitted):
+            out.append(
+                Violation(
+                    "bad-qudit-index",
+                    f"photon {idx} carries qudit {qudit}, outside 0..{transmitted - 1}",
+                    idx,
+                )
+            )
+    if degree < 1:
+        out.insert(mark, Violation("bad-qubit-count", f"photon {idx} carries no qubits", idx))
+    return out
+
+
 def violations(config: MultiplexConfiguration) -> list[Violation]:
     """Collect every broken invariant of ``config`` (empty list if valid).
 
-    A photon that is the very object before it, when that one broke no rule, only
-    adds its qubits to the totals: it would break none either.  A repeat that breaks
-    a rule is checked at each index, so the report is that of equal distinct photons.
+    A run of one photon object (:func:`run_starts`) adds its length times the
+    photon's qubits to the totals in one step and is checked at its first slot.  A
+    photon that breaks a rule is checked at each slot of its run, so the report is
+    that of equal distinct photons.
     """
     out = list(config.code.check())
     if config.code.d > MAX_D:  # the layout of a code beyond the bound is not read
@@ -300,46 +339,18 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
 
     transmitted = max(config.transmitted, 0)
     qubit_totals = [0] * transmitted
-    previous, clean = None, False  # the photon before, and whether it broke no rule
-    for idx, ph in enumerate(config.photons):
-        if clean and ph is previous:  # the same object again breaks no rule either
-            for qudit, count in ph.carries:
-                qubit_totals[qudit] += count
-            continue
-        start = len(out)
-        if ph.channel_id not in known:
-            out.append(
-                Violation("unknown-channel", f"photon {idx} uses channel {ph.channel_id!r}", idx)
-            )
-        mark, degree = len(out), 0  # summed here: the ``degree`` property re-sums per read
-        seen = set() if len(ph.carries) > 1 else None  # one carry repeats no qudit
-        for qudit, count in ph.carries:
-            degree += count
-            if count < 1:
-                out.append(
-                    Violation("bad-qubit-count", f"photon {idx}: qubit count {count} < 1", idx)
-                )
-            if seen is not None:
-                if qudit in seen:
-                    out.append(
-                        Violation(
-                            "duplicate-qudit", f"photon {idx} lists qudit {qudit} twice", idx
-                        )
-                    )
-                seen.add(qudit)
-            if not (0 <= qudit < transmitted):
-                out.append(
-                    Violation(
-                        "bad-qudit-index",
-                        f"photon {idx} carries qudit {qudit}, outside 0..{transmitted - 1}",
-                        idx,
-                    )
-                )
-            else:
-                qubit_totals[qudit] += count
-        if degree < 1:
-            out.insert(mark, Violation("bad-qubit-count", f"photon {idx} carries no qubits", idx))
-        previous, clean = ph, len(out) == start
+    photons = config.photons
+    starts = run_starts(photons)
+    for first, end in zip(starts, [*starts[1:], len(photons)]):
+        ph = photons[first]
+        for qudit, n in ph.carries:
+            if 0 <= qudit < transmitted:
+                qubit_totals[qudit] += (end - first) * n
+        report = _photon_violations(ph, first, known, transmitted)
+        if report:  # a photon that breaks a rule is reported at every slot of its run
+            out += report
+            for idx in range(first + 1, end):
+                out += _photon_violations(ph, idx, known, transmitted)
 
     for qudit, total in enumerate(qubit_totals):
         if total != per_qudit:

@@ -1,16 +1,17 @@
 """Equal photons may be one object: uniform layouts, wiring classes and loaded
 documents repeat one photon object where a layout repeats a photon, and the
-validation and decomposition passes take such a repeat in one step.  Identity
-means nothing: every result equals that of the same layout with each photon an
-object of its own (:func:`oracles.copied`)."""
+validation and decomposition passes take a run of one object in consecutive slots
+in one step.  Identity means nothing: every result equals that of the same layout
+with each photon an object of its own (:func:`oracles.copied`), bit for bit."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import two_channel_layouts
@@ -149,6 +150,34 @@ def test_a_repeated_photon_object_is_k_copies(config):
         assert engine.cluster_decompose(config) == engine.cluster_decompose(apart)
 
 
+def merged(config: MultiplexConfiguration) -> MultiplexConfiguration:
+    """``config`` with each photon equal to the one before it that very object."""
+    photons = []
+    for ph in config.photons:
+        photons.append(photons[-1] if photons and photons[-1] == ph else ph)
+    return replace(config, photons=tuple(photons))
+
+
+def _mixed_sharing_layout() -> MultiplexConfiguration:
+    """Eleven singleton qudits of four one-qubit photons each: qudit 0's are one
+    object, the others' four objects, so the eleven clusters share one signature."""
+    one = Photon("a", ((0, 1),))
+    photons = [one] * 4 + [Photon("a", ((q, 1),)) for q in range(1, 11) for _ in range(4)]
+    return MultiplexConfiguration(QrsCode(11, 6), (A, B), photons)
+
+
+@settings(max_examples=60)
+@given(repeated_photon_layouts(), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+@example(_mixed_sharing_layout(), 0.93, 0.91)
+def test_which_equal_photons_are_one_object_changes_no_float_bit(config, pa, pb):
+    config = replace(config, channels=(Channel("a", pa), Channel("b", pb)))
+    assume(not violations(config))
+    want = engine.success_probability(config).hex(), engine.loss_distribution(config).pmf.tobytes()
+    for twin in (copied(config), merged(config)):
+        got = engine.loss_distribution(twin).pmf.tobytes()
+        assert (engine.success_probability(twin).hex(), got) == want
+
+
 def test_uniform_layout_at_max_d_is_small_and_exact():
     # the largest prime within MAX_D: 16 qubits a qudit, 1048336 photon slots
     code = QrsCode(65521, 64731)
@@ -177,3 +206,20 @@ def test_large_document_loads_back_equal_and_shared(tmp_path):
     loaded = load_config(str(path))
     assert loaded == config
     assert distinct(loaded) == 2 * 16411 and len(loaded.photons) == 8 * 16411
+
+
+def test_success_probability_at_max_d_holds_one_cluster_per_signature_group():
+    # 65521 singleton clusters in two signature groups: only each group's first
+    # is built as a Cluster, so the evaluation holds no Cluster per qudit
+    code = QrsCode(65521, 64731)
+    pa, pb = 0.9992, 0.9993
+    config = uniform_configuration(code, 1, [(Channel("a", pa), 32760), (Channel("b", pb), 32761)])
+    tracemalloc.start()
+    try:
+        got = engine.success_probability(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # 36 MiB; a Cluster per qudit took 112 MiB
+    want = engine.block_success(code, [(32760, pa**16), (32761, pb**16)])
+    assert 0.1 < want < 0.9 and abs(got - want) <= 1e-13

@@ -55,6 +55,33 @@ MUTANTS = (
         "return self.d - self.k\n", "return self.d - self.k + 1\n",
         ("tests/test_model.py::test_code_derived_quantities",),
     ),
+    # runs of one photon object
+    Mutant(
+        "run-repeats-undercounted", "model.py",
+        "qubit_totals[qudit] += (end - first) * n", "qubit_totals[qudit] += (end - first - 1) * n",
+        (
+            "tests/test_model.py::test_validate_accepts_uniform_multiplexed",
+            "tests/test_repeated_photons.py::test_shared_and_copied_photons_give_equal_results"
+            "[uniform q=1]",
+        ),
+    ),
+    Mutant(
+        "equal-entries-not-merged", "engine.py",
+        "if code and code[-2] == entry:", "if False:",
+        (
+            "tests/test_repeated_photons.py"
+            "::test_which_equal_photons_are_one_object_changes_no_float_bit",
+        ),
+    ),
+    Mutant(
+        "run-collapsed-to-first-slot", "engine.py",
+        "photons = chain.from_iterable(map(range, runs[::2], runs[1::2]))",
+        "photons = runs[::2]",
+        (
+            "tests/test_engine.py::test_cluster_decompose_uniform_is_singletons",
+            "tests/test_repeated_photons.py::test_a_repeated_photon_object_is_k_copies",
+        ),
+    ),
     # Monte Carlo blocks, workers and units
     Mutant(
         "block-not-rounded-even", "montecarlo.py",
