@@ -5,21 +5,21 @@ The photon-qudit incidence graph splits into connected components
 packet-level loss distribution is the convolution of per-cluster
 distributions; withheld qudits add a deterministic offset.
 
-One pass over the runs of one photon object in consecutive slots groups the
-photons into clusters and builds each cluster's signature: per photon, its
-channel and its qudits by position in the cluster, run-length coded with equal
-neighbouring entries merged, so equal signatures code alike whichever equal
-photons are one object.  Each cluster is evaluated exactly by one walk over its
-signature (frontier-based reliability, a form of bucket elimination), and one
-:func:`loss_distribution` call groups the clusters by that code: clusters of
-one shape on the same channels, such as the singleton qudits of a uniform
-layout, are one group.  Only the group's first cluster is built as a
-:class:`Cluster` and walked, once, and its pmf is raised to the group's count by
-binary powering, or is a binomial block (below).  Photons are taken greedily,
-next the one sharing the most qudits with those already touched.
-A qudit is open from its first photon to its last; a state is the
-set of open qudits already erased and carries the pmf of the erased count
-among closed qudits.  The cost follows the number of states, not 2^photons:
+One pass over the runs of one photon object in consecutive slots (found once per
+configuration, ``MultiplexConfiguration.runs``) groups the photons into clusters
+and builds each cluster's signature: per photon, its channel and its qudits by
+position in the cluster, run-length coded with equal neighbouring entries merged,
+so equal signatures code alike whichever equal photons are one object.  Each
+cluster is evaluated exactly by one walk over its signature (frontier-based
+reliability, a form of bucket elimination), and one :func:`loss_distribution`
+call groups the clusters by that code: clusters of one shape on the same
+channels, such as the singleton qudits of a uniform layout, are one group.  Only
+the group's first cluster is built as a :class:`Cluster` and walked, once, and
+its pmf is raised to the group's count by binary powering, or is a binomial
+block (below).  Photons are taken greedily, next the one sharing the most qudits
+with those already touched.  A qudit is open from its first photon to its last;
+a state is the set of open qudits already erased and carries the pmf of the
+erased count among closed qudits.  The cost follows the number of states, not 2^photons:
 paths and rings stay at a handful at any length, and
 :class:`ClusterTooLarge` is raised when a step would hold more than
 2^CLUSTER_STATE_BITS states (no cluster of at most 16 photons can).  The
@@ -73,7 +73,7 @@ import numpy as np
 
 from .model import (
     MultiplexConfiguration, QrsCode, check_code, check_counts, check_probability,
-    check_scalar_channels, clamp_roundoff, run_starts, validate,
+    check_scalar_channels, clamp_roundoff, validate,
 )
 
 CLUSTER_STATE_BITS = 16
@@ -133,7 +133,7 @@ class LossDistribution:
 
 def _components(config: MultiplexConfiguration) -> list[tuple[list, list, list]]:
     """Connected components by smallest member qudit, as ``(runs, qudits, code)``, from
-    one pass over the runs of one photon object (:func:`~qnetagg.model.run_starts`).
+    one pass over the runs of one photon object (``config.runs``).
 
     ``runs`` holds the component's runs as flat ``first, end`` slot pairs and
     ``code`` its signature run-length coded, as flat ``entry, repeats`` pairs with
@@ -142,9 +142,8 @@ def _components(config: MultiplexConfiguration) -> list[tuple[list, list, list]]
     (:class:`~qnetagg.model.InvalidConfiguration`).  Each run's ``carries`` is read
     once, and only photons of two or more qudits join components."""
     validate(config)
-    photons = config.photons
-    starts = run_starts(photons)
-    carries = [photons[i].carries for i in starts]
+    photons, bounds = config.photons, config.runs
+    carries = [photons[i].carries for i in bounds[:-1]]
     parent = list(range(config.transmitted))
 
     def find(a: int) -> int:
@@ -171,7 +170,7 @@ def _components(config: MultiplexConfiguration) -> list[tuple[list, list, list]]
         home.append(members)
         position.append((len(members[1]),))
         members[1].append(qudit)
-    for first, end, held in zip(starts, [*starts[1:], len(photons)], carries):
+    for first, end, held in zip(bounds, bounds[1:], carries):
         qudit, channel = held[0][0], photons[first].channel_id
         runs, _, code = home[qudit]
         runs += first, end

@@ -17,7 +17,7 @@ All types are immutable; instances can be shared freely between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from numbers import Integral
 from operator import index, is_not
@@ -256,18 +256,24 @@ class MultiplexConfiguration:
     ``withheld`` qudits (the top indices, by convention) are encoded but not
     sent; they consume erasure tolerance up front.  Transmitted qudit indices
     are ``0 .. d - withheld - 1``.  A bool or non-integer ``withheld`` raises
-    ``TypeError``.
+    ``TypeError``.  ``runs``, found in one C-level pass when the configuration is
+    built and outside ``==``, hashing and ``repr``, holds the first slot of each run
+    of one photon object in consecutive slots, then ``len(photons)``, so
+    ``zip(runs, runs[1:])`` yields each run's ``(first, end)``.
     """
 
     code: QrsCode
     channels: tuple[Channel, ...]
     photons: tuple[Photon, ...]
     withheld: int = 0
+    runs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "photons", tuple(self.photons))
         object.__setattr__(self, "withheld", check_int("withheld", self.withheld))
+        starts = compress(count(), map(is_not, self.photons, chain((None,), self.photons)))
+        object.__setattr__(self, "runs", (*starts, len(self.photons)))
 
     @property
     def transmitted(self) -> int:
@@ -277,12 +283,6 @@ class MultiplexConfiguration:
         """Arrival probability per photon, in photon order."""
         by_id = {ch.id: ch.p for ch in self.channels}
         return [by_id[ph.channel_id] for ph in self.photons]
-
-
-def run_starts(photons: Sequence[Photon]) -> list[int]:
-    """The first slot of each run of one photon object in consecutive slots: each
-    slot whose photon is not the very object before it, in ascending order."""
-    return list(compress(count(), map(is_not, photons, chain((None,), photons))))
 
 
 def _photon_violations(ph: Photon, idx: int, known: set, transmitted: int) -> list[Violation]:
@@ -319,10 +319,10 @@ def _photon_violations(ph: Photon, idx: int, known: set, transmitted: int) -> li
 def violations(config: MultiplexConfiguration) -> list[Violation]:
     """Collect every broken invariant of ``config`` (empty list if valid).
 
-    A run of one photon object (:func:`run_starts`) adds its length times the
-    photon's qubits to the totals in one step and is checked at its first slot.  A
-    photon that breaks a rule is checked at each slot of its run, so the report is
-    that of equal distinct photons.
+    A run of one photon object (``config.runs``) adds its length times the photon's
+    qubits to the totals in one step and is checked at its first slot.  A photon
+    that breaks a rule is checked at each slot of its run, so the report is that of
+    equal distinct photons.
     """
     out = list(config.code.check())
     if config.code.d > MAX_D:  # the layout of a code beyond the bound is not read
@@ -339,10 +339,8 @@ def violations(config: MultiplexConfiguration) -> list[Violation]:
 
     transmitted = max(config.transmitted, 0)
     qubit_totals = [0] * transmitted
-    photons = config.photons
-    starts = run_starts(photons)
-    for first, end in zip(starts, [*starts[1:], len(photons)]):
-        ph = photons[first]
+    for first, end in zip(config.runs, config.runs[1:]):
+        ph = config.photons[first]
         for qudit, n in ph.carries:
             if 0 <= qudit < transmitted:
                 qubit_totals[qudit] += (end - first) * n

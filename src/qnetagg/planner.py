@@ -44,8 +44,8 @@ import numpy as np
 
 from . import closed_form, engine
 from .model import (
-    QrsCode, check_code, check_counts, check_probability, clamp_roundoff, photons_per_qudit,
-    read_object, shared7_configuration,
+    QrsCode, check_code, check_counts, check_int, check_probability, clamp_roundoff,
+    photons_per_qudit, read_object, shared7_configuration,
 )
 
 DEFAULT_TARGET = 0.995
@@ -205,6 +205,8 @@ def _thresholds(
     then bisected together by :func:`_bisect`, in chunks of the same size."""
     check_probability("target", target)
     p2 = np.array(p2_grid, dtype=float)
+    if p2.size == 0:
+        raise ValueError("p2 grid is empty")
     check_probability("p2", p2)
     p1 = np.zeros_like(p2)
     feasible = np.zeros(p2.shape, dtype=bool)
@@ -284,7 +286,7 @@ def sweep_curve(
     """Solve p1 at every grid point; infeasible points are reported, not fatal.
 
     The points hold the caller's grid values.  Raises ``ValueError`` for an
-    unsorted grid or a ``p2`` or ``target`` outside [0, 1].
+    empty or unsorted grid or a ``p2`` or ``target`` outside [0, 1].
     """
     grid = list(p2_grid)
     if grid != sorted(grid):
@@ -354,7 +356,7 @@ def _allocation_success(problem: AllocationProblem, code: QrsCode, split) -> flo
 
 
 def _check_problem(problem: AllocationProblem, target: float) -> None:
-    """Raise ``ValueError`` naming the first invalid entry of the problem, or an empty list."""
+    """Raise ``ValueError`` or ``TypeError`` naming the first invalid entry, or an empty list."""
     check_probability("target", target)
     if not problem.channels or not problem.codes:
         raise ValueError(f"the problem lists no {'codes' if problem.channels else 'channels'}")
@@ -362,7 +364,7 @@ def _check_problem(problem: AllocationProblem, target: float) -> None:
         if ch.id in [other.id for other in problem.channels[:j]]:
             raise ValueError(f"channel {ch.id!r}: id appears more than once")
         check_probability(f"channel {ch.id!r}: p", ch.p)
-        if ch.capacity < 0:
+        if check_int(f"channel {ch.id!r}: capacity", ch.capacity) < 0:
             raise ValueError(f"channel {ch.id!r}: capacity {ch.capacity} is negative")
     for j, code in enumerate(problem.codes):
         if code in problem.codes[:j]:
@@ -386,14 +388,14 @@ def allocate(problem: AllocationProblem, target: float = DEFAULT_TARGET) -> Allo
     """Minimal feasible allocation: fewest qudits, then photons, then
     lexicographically smallest split.
 
-    Success never falls when a qudit moves to a channel of higher ``p``, so
-    a split prefix's best completion fills the remaining channels best ``p``
-    first (ties by index), each to capacity.  Channel by channel, the split
-    takes the smallest count whose best completion reaches the target; the
-    previous step's completion is always a candidate, so nothing
-    backtracks.  Raises :class:`Infeasible` when nothing reaches the target,
-    and ``ValueError`` naming the entry when a channel probability, a
-    capacity, a code or the target is invalid.
+    Success never falls when a qudit moves to a channel of higher ``p``, so a split
+    prefix's best completion fills the remaining channels best ``p`` first (ties by
+    index), each to capacity.  Channel by channel, the split takes the smallest count
+    whose best completion reaches the target; the previous step's completion is
+    always a candidate, so nothing backtracks.  Raises :class:`Infeasible` when
+    nothing reaches the target, and ``ValueError`` (``TypeError`` for a non-integer
+    capacity) naming the entry when a channel probability, a capacity, a code or the
+    target is invalid.
     """
     _check_problem(problem, target)
     caps = [ch.capacity for ch in problem.channels]

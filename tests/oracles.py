@@ -26,6 +26,14 @@ def copied(config: MultiplexConfiguration) -> MultiplexConfiguration:
     return replace(config, photons=photons)
 
 
+def runs(config: MultiplexConfiguration) -> tuple[int, ...]:
+    """Each slot whose photon is not the very object in the slot before it, then the
+    slot count, by a plain index loop: what ``MultiplexConfiguration.runs`` holds."""
+    photons = config.photons
+    starts = [i for i in range(len(photons)) if i == 0 or photons[i] is not photons[i - 1]]
+    return (*starts, len(photons))
+
+
 def check_distribution(dist: engine.LossDistribution, tol: float = 1e-12) -> None:
     """``ArithmeticError`` unless every pmf entry of ``dist`` is above -1e-15 and
     every pmf sums to 1 within ``tol``."""

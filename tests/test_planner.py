@@ -118,6 +118,12 @@ def test_sweep_empty_curve():
         sweep_curve(s, grid_points(0.3, 0.5, 0.05))
 
 
+def test_sweep_rejects_an_empty_grid():
+    s = planner.two_channel_scenario(D43, 1, 20)
+    with pytest.raises(ValueError, match="p2 grid is empty"):
+        sweep_curve(s, [])
+
+
 def test_curve_csv_format():
     s = planner.single_channel_scenario(QrsCode(7, 4), 3)
     curve = sweep_curve(s, [0.9, 0.95])
@@ -633,6 +639,15 @@ def test_allocate_rejects_invalid_entries(channels, codes, names):
     assert not isinstance(info.value, Infeasible)
     with pytest.raises(ValueError, match=names):
         planner.single_channel_solutions(problem)
+
+
+@pytest.mark.parametrize("capacity", [2.5, True])
+def test_allocate_names_a_capacity_that_is_not_an_integer(capacity):
+    channels = (ChannelSpec("a", 0.99, capacity), ChannelSpec("b", 0.9, 9))
+    problem = AllocationProblem(channels=channels, codes=(QrsCode(7, 4),), q=1)
+    for search in (allocate, planner.single_channel_solutions):
+        with pytest.raises(TypeError, match="channel 'a': capacity must be an integer"):
+            search(problem)
 
 
 # --- allocation by greedy completion --------------------------------------------------

@@ -1,8 +1,9 @@
 """Equal photons may be one object: uniform layouts, wiring classes and loaded
-documents repeat one photon object where a layout repeats a photon, and the
-validation and decomposition passes take a run of one object in consecutive slots
-in one step.  Identity means nothing: every result equals that of the same layout
-with each photon an object of its own (:func:`oracles.copied`), bit for bit."""
+documents repeat one photon object where a layout repeats a photon.  A configuration
+finds its runs of one object in consecutive slots once, when it is built
+(``MultiplexConfiguration.runs``), and the validation and decomposition passes take
+each run in one step.  Identity means nothing: every result equals that of the same
+layout with each photon an object of its own (:func:`oracles.copied`), bit for bit."""
 
 import tracemalloc
 from dataclasses import replace
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import two_channel_layouts
-from oracles import copied
+from oracles import copied, runs
 from qnetagg import engine, montecarlo, wiring
 from qnetagg.model import (
     Channel,
@@ -68,6 +69,25 @@ def test_shared_and_copied_photons_give_equal_results(name):
     assert engine.success_probability(shared) == engine.success_probability(apart)
     got, want = montecarlo.estimate(shared, 5000, 3), montecarlo.estimate(apart, 5000, 3)
     assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_runs_are_the_slots_where_the_photon_object_changes(name):
+    shared = LAYOUTS[name]
+    for layout in (shared, copied(shared), replace(shared, photons=shared.photons[::-1])):
+        assert layout.runs == runs(layout)
+    assert len(shared.runs) == distinct(shared) + 1 < len(shared.photons) + 1
+    assert copied(shared).runs == tuple(range(len(shared.photons) + 1))
+
+
+def test_runs_are_recomputed_by_replace_and_left_out_of_equality_and_repr():
+    config = LAYOUTS["uniform q=1"]  # six one-qubit photons a qudit, one object each
+    shorter = replace(config, photons=list(config.photons[:-6]))
+    assert shorter.runs == runs(shorter) == config.runs[:-1]
+    apart = copied(config)
+    assert apart.runs != config.runs
+    assert apart == config and hash(apart) == hash(config) and repr(apart) == repr(config)
+    assert "runs" not in repr(config)
 
 
 @pytest.mark.parametrize("q,sizes", [(1, 1), (3, 2), (4, 1), (8, 1)])
@@ -143,6 +163,7 @@ def repeated_photon_layouts(draw):
 @given(repeated_photon_layouts())
 def test_a_repeated_photon_object_is_k_copies(config):
     apart = copied(config)
+    assert config.runs == runs(config) and apart.runs == runs(apart)
     report = violations(config)
     assert report == violations(apart)
     if not report:

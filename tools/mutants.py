@@ -57,6 +57,16 @@ MUTANTS = (
     ),
     # runs of one photon object
     Mutant(
+        "runs-lose-their-end", "model.py",
+        'object.__setattr__(self, "runs", (*starts, len(self.photons)))',
+        'object.__setattr__(self, "runs", (*starts,))',
+        (
+            "tests/test_model.py::test_validate_accepts_uniform_multiplexed",
+            "tests/test_repeated_photons.py"
+            "::test_runs_are_the_slots_where_the_photon_object_changes[uniform q=1]",
+        ),
+    ),
+    Mutant(
         "run-repeats-undercounted", "model.py",
         "qubit_totals[qudit] += (end - first) * n", "qubit_totals[qudit] += (end - first - 1) * n",
         (
@@ -80,6 +90,32 @@ MUTANTS = (
         (
             "tests/test_engine.py::test_cluster_decompose_uniform_is_singletons",
             "tests/test_repeated_photons.py::test_a_repeated_photon_object_is_k_copies",
+        ),
+    ),
+    # the frontier walk
+    Mutant(
+        "closing-shift-off-by-one", "engine.py",
+        "shift = (erased & closing).bit_count()", "shift = (erased & closing).bit_count() + 1",
+        (
+            "tests/test_engine.py::test_cluster_pmf_singleton",
+            "tests/test_engine.py::test_long_path_matches_transfer_matrix",
+        ),
+    ),
+    Mutant(
+        "either-weighs-arrive", "engine.py",
+        "branches = ((mask, either),)", "branches = ((mask, arrive),)",
+        (
+            "tests/test_engine.py::test_cluster_pmf_singleton",
+            "tests/test_engine.py::test_long_path_matches_transfer_matrix",
+        ),
+    ),
+    Mutant(
+        "arrive-and-lose-swapped", "engine.py",
+        "branches = ((mask, arrive), (mask | hit, lose))",
+        "branches = ((mask, lose), (mask | hit, arrive))",
+        (
+            "tests/test_engine.py::test_cluster_pmf_singleton",
+            "tests/test_engine.py::test_long_path_matches_transfer_matrix",
         ),
     ),
     # Monte Carlo blocks, workers and units
